@@ -1,6 +1,7 @@
 //! The flatten-once geometry pipeline on the large sweep chips: pins the
-//! flatten cache, the indexed/parallel extractor and the parallel
-//! hierarchical DRC on the biggest specs the sweep generator produces.
+//! flatten cache, the indexed (serial) extractor and hierarchical DRC —
+//! the only threaded pass — on the biggest specs the sweep generator
+//! produces.
 //!
 //! Also cross-checks (in `--test` smoke mode) that the indexed extractor
 //! matches the naive reference on the smallest workload.

@@ -27,7 +27,7 @@
 //!   it: a new cell can only reference existing cells, so existing
 //!   entries stay valid.
 //! * The cache sits behind an `RwLock`, so `&Library` can be shared
-//!   across the scoped-thread parallel DRC/extraction loops; cloning a
+//!   across hierarchical DRC's scoped-thread per-cell loop; cloning a
 //!   library starts with a cold cache.
 //! * Bristle flattening ([`Library::flat_bristles_shared`]) is memoized
 //!   the same way, in a sibling cache with identical invariants (both

@@ -840,22 +840,11 @@ impl CompiledChip {
             let count = espec.params.get("count").copied().unwrap_or(2) as usize;
             let words = espec.params.get("words").copied().unwrap_or(4) as usize;
             let depth = espec.params.get("depth").copied().unwrap_or(4) as usize;
-            let legacy = self
-                .spec
-                .flags
-                .get(bristle_stdcells::LEGACY_INVERTING_READ)
-                .copied()
-                .unwrap_or(false);
             let behavior = match espec.kind.as_str() {
                 "registers" => bristle_sim::behaviors::register_file(&e.prefix, count),
                 "alu" => bristle_sim::behaviors::alu(&e.prefix),
                 "shifter" => bristle_sim::behaviors::shifter(&e.prefix),
-                // Legacy cells carry no selw/sel columns in their
-                // write/select topology; each behavior variant mirrors
-                // the cell library the flag selects.
-                "ram" if legacy => bristle_sim::behaviors::decoded_ram_legacy(&e.prefix, words),
                 "ram" => bristle_sim::behaviors::decoded_ram(&e.prefix, words),
-                "stack" if legacy => bristle_sim::behaviors::stack(&e.prefix, depth),
                 "stack" => bristle_sim::behaviors::decoded_stack(&e.prefix, depth),
                 "inport" => {
                     bristle_sim::behaviors::input_port(&e.prefix, format!("{}_pad", e.prefix))

@@ -4,9 +4,8 @@ use std::collections::HashMap;
 use std::fmt;
 
 use bristle_cell::{CellId, Library, Shape, ShapeGeom};
-use bristle_geom::{par_map, Layer, QueryScratch, Rect, RectIndex};
+use bristle_geom::{covered_by, par_map, Layer, QueryScratch, Rect, RectIndex};
 
-use crate::cover::covered_by;
 use crate::rules::{RuleKind, RuleSet};
 
 /// One design-rule violation.
@@ -404,8 +403,9 @@ pub fn check_flat(lib: &Library, top: CellId, rules: &RuleSet) -> Report {
 /// generators in `bristle-stdcells` guarantee this); cross-cell
 /// transistors would be missed.
 ///
-/// Since the flatten-once rework this runs the per-cell loop in
-/// parallel: each distinct cell is an independent unit of work, the
+/// The per-cell loop runs in parallel — the only threaded pass in the
+/// pipeline, and the one grain measured to pay (extraction is serial):
+/// each distinct cell is an independent unit of work, the
 /// library's memoized flatten cache supplies every subtree exactly once
 /// (no re-flatten per parent instance), and the per-cell reports are
 /// merged in deterministic (dependency) order before the final

@@ -45,9 +45,7 @@
 #![warn(missing_docs)]
 
 mod check;
-mod cover;
 mod rules;
 
 pub use check::{check_flat, check_hierarchical, Report, Violation};
-pub use cover::covered_by;
 pub use rules::{RuleKind, RuleSet};

@@ -4,7 +4,7 @@ use std::collections::HashMap;
 use std::fmt;
 
 use bristle_cell::{CellId, Library};
-use bristle_geom::{par_chunks, Layer, QueryScratch, Rect, RectIndex};
+use bristle_geom::{covered_by, Layer, QueryScratch, Rect, RectIndex};
 
 use crate::union_find::UnionFind;
 
@@ -179,8 +179,7 @@ struct Piece {
 /// library's memoized cache, every conductor layer is indexed once with
 /// [`RectIndex::bulk_build`], and all connectivity questions (same-layer
 /// touching, contact/buried joins, terminal hits, channel direction) are
-/// index queries. The same-layer union sweep runs in parallel; union
-/// pairs are merged in deterministic order, and the resulting netlist is
+/// index queries. The pass is serial, and the resulting netlist is
 /// byte-identical to the naive reference ([`extract_reference`]).
 ///
 /// # Panics
@@ -239,7 +238,7 @@ pub fn extract(lib: &Library, top: CellId) -> Netlist {
         for (g, pi) in cands {
             near_buried.clear();
             buried_index.query_with(g, &mut scratch, |_, b| near_buried.push(b));
-            if !covered(g, &near_buried) {
+            if !covered_by(g, &near_buried) {
                 gates.push((g, pi));
             }
         }
@@ -293,29 +292,14 @@ pub fn extract(lib: &Library, top: CellId) -> Netlist {
 
     let mut uf = UnionFind::new(pieces.len());
 
-    // Same-layer touching rects connect. The sweep is embarrassingly
-    // parallel: workers collect (i, j) candidate pairs over contiguous
-    // piece chunks (each with its own query scratch), then the pairs are
-    // union-ed serially in chunk order. The union-find partition is
-    // independent of union order, so the result is deterministic.
-    let pair_chunks: Vec<Vec<(usize, usize)>> = par_chunks(&pieces, |off, chunk| {
-        let mut scratch = QueryScratch::new();
-        let mut pairs: Vec<(usize, usize)> = Vec::new();
-        for (k, p) in chunk.iter().enumerate() {
-            let i = off + k;
-            if let Some(idx) = index_by_layer.get(&p.layer) {
-                idx.query_with(p.rect, &mut scratch, |j, _| {
-                    if j > i {
-                        pairs.push((i, j));
-                    }
-                });
-            }
-        }
-        pairs
-    });
-    for pairs in pair_chunks {
-        for (i, j) in pairs {
-            uf.union(i, j);
+    // Same-layer touching rects connect.
+    for (i, p) in pieces.iter().enumerate() {
+        if let Some(idx) = index_by_layer.get(&p.layer) {
+            idx.query_with(p.rect, &mut scratch, |j, _| {
+                if j > i {
+                    uf.union(i, j);
+                }
+            });
         }
     }
 
@@ -471,47 +455,10 @@ pub fn extract(lib: &Library, top: CellId) -> Netlist {
     }
 }
 
-/// True if `window` is fully covered by the union of `rects`.
-/// (Same algorithm as `bristle_drc::covered_by`; duplicated to keep the
-/// crates independent.)
-fn covered(window: Rect, rects: &[Rect]) -> bool {
-    if window.is_degenerate() {
-        return true;
-    }
-    let mut residue = vec![window];
-    for r in rects {
-        if residue.is_empty() {
-            return true;
-        }
-        let mut next = Vec::with_capacity(residue.len());
-        for piece in residue {
-            match piece.intersection(r) {
-                None => next.push(piece),
-                Some(hit) => {
-                    if piece.y1 > hit.y1 {
-                        next.push(Rect::new(piece.x0, hit.y1, piece.x1, piece.y1));
-                    }
-                    if piece.y0 < hit.y0 {
-                        next.push(Rect::new(piece.x0, piece.y0, piece.x1, hit.y0));
-                    }
-                    if piece.x0 < hit.x0 {
-                        next.push(Rect::new(piece.x0, hit.y0, hit.x0, hit.y1));
-                    }
-                    if piece.x1 > hit.x1 {
-                        next.push(Rect::new(hit.x1, hit.y0, piece.x1, hit.y1));
-                    }
-                }
-            }
-        }
-        residue = next;
-    }
-    residue.is_empty()
-}
-
 /// The pre-index reference extractor: linear scans everywhere.
 ///
 /// Kept verbatim as the oracle for the regression tests that pin the
-/// indexed/parallel [`extract`] to byte-identical output. Quadratic in
+/// indexed [`extract`] to byte-identical output. Quadratic in
 /// the piece count — never use it outside tests and benches.
 #[doc(hidden)]
 #[must_use]
@@ -555,7 +502,7 @@ pub fn extract_reference(lib: &Library, top: CellId) -> Netlist {
                 continue;
             }
             if let Some(g) = p.rect.intersection(&d.rect) {
-                if !covered(g, &buried) {
+                if !covered_by(g, &buried) {
                     gates.push((g, pi));
                 }
             }

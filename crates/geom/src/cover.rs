@@ -2,7 +2,7 @@
 //! Used for enclosure rules (contacts, implants) where the enclosing
 //! material may be drawn as several abutting shapes.
 
-use bristle_geom::Rect;
+use crate::Rect;
 
 /// True if `window` is entirely covered by the union of `rects`.
 ///
@@ -14,7 +14,7 @@ use bristle_geom::Rect;
 ///
 /// ```
 /// use bristle_geom::Rect;
-/// use bristle_drc::covered_by;
+/// use bristle_geom::covered_by;
 ///
 /// let window = Rect::new(0, 0, 4, 4);
 /// let halves = [Rect::new(0, 0, 2, 4), Rect::new(2, 0, 4, 4)];

@@ -18,8 +18,10 @@
 //! * [`Layer`] — the nMOS mask layers with their CIF names,
 //! * [`RectIndex`] — a binned spatial index used by DRC and extraction,
 //!   with an allocation-free stamped-dedup query path ([`QueryScratch`]),
-//! * [`par`] — deterministic scoped-thread parallel maps for the
-//!   embarrassingly parallel DRC/extraction outer loops.
+//! * [`covered_by`] — rectangle coverage by residual subtraction, shared
+//!   by DRC enclosure rules and extraction's buried-contact test,
+//! * [`par`] — a deterministic scoped-thread parallel map for
+//!   hierarchical DRC's per-cell loop, the only threaded pass.
 //!
 //! # Examples
 //!
@@ -35,6 +37,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod cover;
 mod layer;
 pub mod par;
 mod path;
@@ -44,8 +47,9 @@ mod rect;
 mod rect_index;
 mod transform;
 
+pub use cover::covered_by;
 pub use layer::Layer;
-pub use par::{max_workers, par_chunks, par_map, set_max_workers};
+pub use par::{max_workers, par_map, set_max_workers};
 pub use path::Path;
 pub use point::Point;
 pub use polygon::Polygon;

@@ -1,11 +1,12 @@
-//! Minimal deterministic data-parallelism helpers.
+//! Minimal deterministic data parallelism.
 //!
-//! The geometry back-end passes (DRC, extraction) have embarrassingly
-//! parallel outer loops. This workspace carries no external dependencies,
-//! so instead of rayon we provide two small scoped-thread helpers. Both
-//! return results **in input order**, so parallel callers merge
-//! deterministically — a hard requirement for byte-identical netlists and
-//! violation reports.
+//! Hierarchical DRC checks each distinct cell independently, and that
+//! per-cell loop is the one grain measured to pay for threads (about
+//! 1.8× on a 2-core host); extraction runs serially. This workspace
+//! carries no external dependencies, so instead of rayon we provide one
+//! small scoped-thread map. It returns results **in input order**, so
+//! callers merge deterministically — a hard requirement for
+//! byte-identical violation reports.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
@@ -15,11 +16,11 @@ use std::sync::OnceLock;
 /// paths against each other on any host.
 static MAX_WORKERS: AtomicUsize = AtomicUsize::new(0);
 
-/// Caps the worker count for all `par_*` helpers. `0` restores the
-/// default (one worker per available core). Parallel results are merged
-/// in input order, so this must never change any result — the
-/// determinism regression suite runs the full DRC/extraction pipeline
-/// at 1 and N workers and diffs the outputs byte for byte.
+/// Caps the worker count for [`par_map`]. `0` restores the default (one
+/// worker per available core). Parallel results are merged in input
+/// order, so this must never change any result — the determinism
+/// regression suite runs hierarchical DRC at 1 and N workers and diffs
+/// the reports byte for byte.
 pub fn set_max_workers(n: usize) {
     MAX_WORKERS.store(n, Ordering::SeqCst);
 }
@@ -81,32 +82,6 @@ where
         .collect()
 }
 
-/// Splits `items` into at most `workers_for(len)` contiguous chunks,
-/// applies `f` to each chunk in parallel, and returns the chunk results
-/// in order. `f` receives the chunk's offset into `items` so ids can stay
-/// global. Useful when each worker wants chunk-local scratch state.
-pub fn par_chunks<T, R, F>(items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send + Sync,
-    F: Fn(usize, &[T]) -> R + Sync,
-{
-    let workers = workers_for(items.len());
-    if workers <= 1 {
-        if items.is_empty() {
-            return Vec::new();
-        }
-        return vec![f(0, items)];
-    }
-    let chunk = items.len().div_ceil(workers);
-    let bounds: Vec<(usize, &[T])> = items
-        .chunks(chunk)
-        .enumerate()
-        .map(|(k, c)| (k * chunk, c))
-        .collect();
-    par_map(&bounds, |_, &(off, c)| f(off, c))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -134,21 +109,5 @@ mod tests {
     fn par_map_empty_and_single() {
         assert_eq!(par_map::<i64, i64, _>(&[], |_, &x| x), Vec::<i64>::new());
         assert_eq!(par_map(&[7i64], |_, &x| x + 1), vec![8]);
-    }
-
-    #[test]
-    fn par_chunks_cover_all_items_in_order() {
-        let items: Vec<usize> = (0..1000).collect();
-        let chunked = par_chunks(&items, |off, c| {
-            c.iter()
-                .enumerate()
-                .map(|(k, &x)| {
-                    assert_eq!(off + k, x, "offset must be global");
-                    x
-                })
-                .collect::<Vec<_>>()
-        });
-        let flat: Vec<usize> = chunked.into_iter().flatten().collect();
-        assert_eq!(flat, items);
     }
 }

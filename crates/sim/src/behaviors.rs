@@ -13,7 +13,6 @@
 //! | [`register_file`] | `rda<i>`/`rdb<i>` drive bus A/B, `ld<i>` load from bus A | — |
 //! | [`alu`] | `lda`, `ldb` latch operands; `out` drives result on bus A | `op0..op2` select the operation |
 //! | [`shifter`] | `ld` from bus A; `out` drives bus B | `sl`/`sr` shift by one |
-//! | [`stack`] | `push` latches bus A; `pop` drives bus A | push/pop commit |
 //! | [`decoded_stack`] | `push` & `selw<i>` latch bus A into level i; `pop` & `sel<i>` drive level i | commit + sp update |
 //! | [`ram`] | `adr` latches bus B as address; `wr` latches bus A; `rd` drives bus A | write commits |
 //! | [`decoded_ram`] | `rd` & `sel<i>` drive word i; `wr` & `selw<i>` latch bus A | write commits |
@@ -254,82 +253,6 @@ pub fn shifter(name: impl Into<String>) -> Box<dyn Behavior> {
     })
 }
 
-struct Stack {
-    name: String,
-    depth: usize,
-    data: Vec<u64>,
-    pending_push: Option<u64>,
-    pending_pop: bool,
-}
-
-impl Behavior for Stack {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn phi1_drive(&mut self, ctx: &ElementCtx<'_>) -> [Option<u64>; 2] {
-        if ctx.control("pop") {
-            self.pending_pop = true;
-            [self.data.last().copied(), None]
-        } else {
-            [None, None]
-        }
-    }
-
-    fn phi1_sample(&mut self, ctx: &mut ElementCtx<'_>, buses: [u64; 2]) {
-        if ctx.control("push") {
-            self.pending_push = Some(buses[0] & ctx.mask);
-        }
-    }
-
-    fn phi2(&mut self, _ctx: &mut ElementCtx<'_>) {
-        if self.pending_pop {
-            self.data.pop();
-            self.pending_pop = false;
-        }
-        if let Some(v) = self.pending_push.take() {
-            if self.data.len() < self.depth {
-                self.data.push(v);
-            }
-        }
-    }
-
-    fn state(&self) -> Vec<(String, u64)> {
-        let mut s = vec![
-            ("sp".into(), self.data.len() as u64),
-            ("top".into(), self.data.last().copied().unwrap_or(0)),
-        ];
-        for (i, &v) in self.data.iter().enumerate() {
-            s.push((format!("s{i}"), v));
-        }
-        s
-    }
-
-    fn poke(&mut self, key: &str, value: u64) -> bool {
-        if key == "push" {
-            if self.data.len() < self.depth {
-                self.data.push(value);
-                return true;
-            }
-            return false;
-        }
-        false
-    }
-}
-
-/// A hardware stack of `depth` words: `push` latches bus A, `pop` drives
-/// bus A with the top and retires it on φ2.
-#[must_use]
-pub fn stack(name: impl Into<String>, depth: usize) -> Box<dyn Behavior> {
-    Box::new(Stack {
-        name: name.into(),
-        depth,
-        data: Vec::new(),
-        pending_push: None,
-        pending_pop: false,
-    })
-}
-
 struct Ram {
     name: String,
     mem: Vec<u64>,
@@ -411,11 +334,6 @@ struct DecodedRam {
     name: String,
     mem: Vec<u64>,
     pending_write: Option<(usize, u64)>,
-    /// Local name prefix of the write-select lines: `"selw"` for the
-    /// restoring cells (dedicated write-select column), `"sel"` for the
-    /// legacy cells (shared select; the legacy write chain itself is
-    /// not sel-gated, but the functional model always was).
-    write_sel: &'static str,
 }
 
 impl Behavior for DecodedRam {
@@ -441,7 +359,7 @@ impl Behavior for DecodedRam {
         // write never disturbs unaddressed words.
         if ctx.control("wr") {
             for i in 0..self.mem.len() {
-                if ctx.control(&format!("{}{i}", self.write_sel)) {
+                if ctx.control(&format!("selw{i}")) {
                     self.pending_write = Some((i, buses[0] & ctx.mask));
                 }
             }
@@ -484,20 +402,6 @@ pub fn decoded_ram(name: impl Into<String>, words: usize) -> Box<dyn Behavior> {
         name: name.into(),
         mem: vec![0; words],
         pending_write: None,
-        write_sel: "selw",
-    })
-}
-
-/// The legacy-cell variant of [`decoded_ram`]: write selects ride the
-/// shared `sel<i>` lines, matching the pre-inverter RAM cells (which
-/// have no `selw` columns).
-#[must_use]
-pub fn decoded_ram_legacy(name: impl Into<String>, words: usize) -> Box<dyn Behavior> {
-    Box::new(DecodedRam {
-        name: name.into(),
-        mem: vec![0; words],
-        pending_write: None,
-        write_sel: "sel",
     })
 }
 
@@ -829,41 +733,6 @@ mod tests {
     }
 
     #[test]
-    fn stack_pushes_and_pops() {
-        let mut mc = Microcode::new();
-        mc.add_field("k", 2).unwrap();
-        let mut m = Machine::new(8, mc);
-        m.add_element(
-            stack("st", 4),
-            &[
-                ("push", ctl("k", ActiveWhen::Equals(1), Phase::Phi1)),
-                ("pop", ctl("k", ActiveWhen::Equals(2), Phase::Phi1)),
-            ],
-        )
-        .unwrap();
-        m.add_element(
-            literal("lit"),
-            &[
-                ("en", ctl("k", ActiveWhen::Equals(1), Phase::Phi1)),
-                ("b0", ctl("k", ActiveWhen::Always, Phase::Phi1)),
-                ("b3", ctl("k", ActiveWhen::Always, Phase::Phi1)),
-            ],
-        )
-        .unwrap();
-        // Push the literal 0b1001 twice.
-        let push = m.microcode().encode(&[("k", 1)]).unwrap();
-        m.step_word(push).unwrap();
-        m.step_word(push).unwrap();
-        assert_eq!(m.peek("st", "sp").unwrap(), 2);
-        assert_eq!(m.peek("st", "top").unwrap(), 0b1001);
-        // Pop: the top appears on bus A.
-        let pop = m.microcode().encode(&[("k", 2)]).unwrap();
-        let buses = m.step_word(pop).unwrap();
-        assert_eq!(buses[0], 0b1001);
-        assert_eq!(m.peek("st", "sp").unwrap(), 1);
-    }
-
-    #[test]
     fn decoded_ram_write_needs_selw() {
         let mut mc = Microcode::new();
         mc.add_field("sel", 2).unwrap();
@@ -899,38 +768,6 @@ mod tests {
         let r = m.microcode().encode(&[("sel", 2), ("rw", 2)]).unwrap();
         let buses = m.step_word(r).unwrap();
         assert_eq!(buses[0], 0b101);
-    }
-
-    #[test]
-    fn legacy_decoded_ram_writes_through_sel() {
-        let mut mc = Microcode::new();
-        mc.add_field("sel", 2).unwrap();
-        mc.add_field("rw", 2).unwrap();
-        let mut m = Machine::new(8, mc);
-        // Legacy cells expose only sel<i>/wr/rd — the legacy behavior
-        // must keep committing writes through the shared selects.
-        m.add_element(
-            decoded_ram_legacy("mem", 2),
-            &[
-                ("sel0", ctl("sel", ActiveWhen::Equals(1), Phase::Phi1)),
-                ("sel1", ctl("sel", ActiveWhen::Equals(2), Phase::Phi1)),
-                ("wr", ctl("rw", ActiveWhen::Equals(1), Phase::Phi1)),
-                ("rd", ctl("rw", ActiveWhen::Equals(2), Phase::Phi1)),
-            ],
-        )
-        .unwrap();
-        m.add_element(
-            literal("lit"),
-            &[
-                ("en", ctl("rw", ActiveWhen::Equals(1), Phase::Phi1)),
-                ("b1", ctl("rw", ActiveWhen::Always, Phase::Phi1)),
-            ],
-        )
-        .unwrap();
-        let w = m.microcode().encode(&[("sel", 2), ("rw", 1)]).unwrap();
-        m.step_word(w).unwrap();
-        assert_eq!(m.peek("mem", "m1").unwrap(), 0b10);
-        assert_eq!(m.peek("mem", "m0").unwrap(), 0);
     }
 
     #[test]

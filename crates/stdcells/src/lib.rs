@@ -44,6 +44,6 @@ mod pads;
 
 pub use generators::{
     all_generators, generator_named, AluGen, InPortGen, OutPortGen, PrechargeGen, RamGen,
-    RegistersGen, ShifterGen, StackGen, LEGACY_INVERTING_READ,
+    RegistersGen, ShifterGen, StackGen,
 };
 pub use pads::{control_buffer, pad_cell, PAD_SIZE};

@@ -18,12 +18,6 @@
 //!    plates and every stack level's `level` plates equal the machine's
 //!    state, and output-port pad words equal the machine's pads.
 //!
-//! Under the `LEGACY_INVERTING_READ` spec flag the pre-inverter cell
-//! library is compiled instead, and the φ1 bus check falls back to the
-//! inverting-read prediction (precharged ones ANDed with pad words and
-//! `~r` per asserted read); RAM and stack ride along passively. The
-//! flag exists for one migration release.
-//!
 //! The silicon is initialized with an explicit power-on preset
 //! (all nodes low) so dynamic storage starts equal to the machine's
 //! all-zero registers; see [`SwitchSim::preset_all`].
@@ -166,11 +160,6 @@ pub fn run_cosim_with(
     if let Some(f) = fault {
         f.apply(&mut netlist);
     }
-    let legacy = spec
-        .flags
-        .get(bristle_core::LEGACY_INVERTING_READ)
-        .copied()
-        .unwrap_or(false);
     let mut machine = chip.simulation()?;
     let controls = element_controls(&chip);
     let mut bridge = NetlistBridge::new(&netlist, spec.data_width)?;
@@ -224,27 +213,6 @@ pub fn run_cosim_with(
             machine.set_pad(format!("{p}_pad"), pad);
         }
 
-        // Legacy relation only: predict the physical buses from the
-        // machine's *pre-cycle* state — reads are inverting at switch
-        // level, so the bus shows `AND(~rᵢ)` where the machine drives
-        // `AND(rᵢ)`.
-        let (mut exp_bus_a, mut exp_bus_b) = (mask, mask);
-        if legacy {
-            for pad in cycle.inports.values() {
-                exp_bus_a &= pad;
-            }
-            for (prefix, ops) in &cycle.regs {
-                if let Some(r) = ops.read_a {
-                    let v = machine.peek(prefix, &format!("r{r}"))?;
-                    exp_bus_a &= !v & mask;
-                }
-                if let Some(r) = ops.read_b {
-                    let v = machine.peek(prefix, &format!("r{r}"))?;
-                    exp_bus_b &= !v & mask;
-                }
-            }
-        }
-
         // φ1: decode-asserted controls up, φ2 clocks down, settle.
         bridge.drive_clocks("phi2", Level::L0);
         bridge.drive_clocks("phi1", Level::L1);
@@ -266,34 +234,16 @@ pub fn run_cosim_with(
         // Step the functional machine (its step covers φ1 + φ2).
         let mach_buses = machine.step_word(word)?;
 
-        if legacy {
-            if phys_a != Ok(exp_bus_a) {
-                return Err(diverge("phi1-bus", "busA", exp_bus_a, &phys_a));
-            }
-            if phys_b != Ok(exp_bus_b) {
-                return Err(diverge("phi1-bus", "busB", exp_bus_b, &phys_b));
-            }
-            checks += 2;
-            // On a pure write cycle the machine's bus A and the
-            // silicon's agree exactly even in the inverting dialect.
-            if !cycle.has_reads() && !cycle.inports.is_empty() {
-                if mach_buses[0] != exp_bus_a {
-                    return Err(diverge("phi1-machine-bus", "busA", mach_buses[0], &phys_a));
-                }
-                checks += 1;
-            }
-        } else {
-            // Direct bus equality: the restoring read path asserts
-            // stored words, so silicon and machine buses must agree bit
-            // for bit on every cycle — reads, writes and idles alike.
-            if phys_a != Ok(mach_buses[0]) {
-                return Err(diverge("phi1-bus", "busA", mach_buses[0], &phys_a));
-            }
-            if phys_b != Ok(mach_buses[1]) {
-                return Err(diverge("phi1-bus", "busB", mach_buses[1], &phys_b));
-            }
-            checks += 2;
+        // Direct bus equality: the restoring read path asserts
+        // stored words, so silicon and machine buses must agree bit
+        // for bit on every cycle — reads, writes and idles alike.
+        if phys_a != Ok(mach_buses[0]) {
+            return Err(diverge("phi1-bus", "busA", mach_buses[0], &phys_a));
         }
+        if phys_b != Ok(mach_buses[1]) {
+            return Err(diverge("phi1-bus", "busB", mach_buses[1], &phys_b));
+        }
+        checks += 2;
 
         // φ2: controls down except φ2-phase decodes, clocks swap, settle.
         for (prefix, refs) in &controls {
@@ -321,8 +271,8 @@ pub fn run_cosim_with(
 
         // Storage equivalence: every register's plates equal the
         // machine's registers (both plates are written from bus A), and
-        // in the restoring library RAM words and stack levels
-        // co-simulate actively — their plates must match too.
+        // RAM words and stack levels co-simulate actively — their plates
+        // must match too.
         for (eidx, e) in spec.elements.iter().enumerate() {
             let prefix = format!("e{eidx}_{}", e.kind);
             match e.kind.as_str() {
@@ -339,7 +289,7 @@ pub fn run_cosim_with(
                         }
                     }
                 }
-                "ram" if !legacy => {
+                "ram" => {
                     let words = e.params.get("words").copied().unwrap_or(4) as usize;
                     for w in 0..words {
                         let want = machine.peek(&prefix, &format!("m{w}"))?;
@@ -350,7 +300,7 @@ pub fn run_cosim_with(
                         checks += 1;
                     }
                 }
-                "stack" if !legacy => {
+                "stack" => {
                     let depth = e.params.get("depth").copied().unwrap_or(4) as usize;
                     for l in 0..depth {
                         let want = machine.peek(&prefix, &format!("s{l}"))?;

@@ -21,10 +21,6 @@
 //! Generation is prefix-stable: the first `k` cycles of a longer program
 //! generated from the same seed are identical, which is what lets the
 //! shrinker truncate programs without re-rolling earlier cycles.
-//!
-//! Under the `LEGACY_INVERTING_READ` spec flag, RAM and stack ops are
-//! not generated (the legacy cells are not `sel`-gated), matching the
-//! pre-inverter co-sim subset.
 
 use std::collections::BTreeMap;
 
@@ -176,11 +172,6 @@ impl Program {
             !p.regs.is_empty(),
             "cosim spec must carry a register element"
         );
-        let legacy = spec
-            .flags
-            .get(bristle_core::LEGACY_INVERTING_READ)
-            .copied()
-            .unwrap_or(false);
         let mut rng = Rng::new(seed);
         let mask = if spec.data_width == 64 {
             u64::MAX
@@ -209,18 +200,16 @@ impl Program {
                                 Some(rng.range_u64(0, *count as u64) as usize);
                         }
                     }
-                    if !legacy {
-                        for (pfx, words) in &p.rams {
-                            if rng.chance(1, 3) {
-                                let w = rng.range_u64(0, *words as u64) as usize;
-                                c.rams.insert(pfx.clone(), MemOp::Write(w));
-                            }
+                    for (pfx, words) in &p.rams {
+                        if rng.chance(1, 3) {
+                            let w = rng.range_u64(0, *words as u64) as usize;
+                            c.rams.insert(pfx.clone(), MemOp::Write(w));
                         }
-                        for (si, (pfx, depth)) in p.stacks.iter().enumerate() {
-                            if sps[si] < *depth && rng.chance(1, 3) {
-                                c.stacks.insert(pfx.clone(), StackOp::Push(sps[si]));
-                                sps[si] += 1;
-                            }
+                    }
+                    for (si, (pfx, depth)) in p.stacks.iter().enumerate() {
+                        if sps[si] < *depth && rng.chance(1, 3) {
+                            c.stacks.insert(pfx.clone(), StackOp::Push(sps[si]));
+                            sps[si] += 1;
                         }
                     }
                     for pfx in &p.outports {
@@ -240,18 +229,16 @@ impl Program {
                             ops.read_b = Some(rng.range_u64(0, *count as u64) as usize);
                         }
                     }
-                    if !legacy {
-                        for (pfx, words) in &p.rams {
-                            if rng.chance(1, 3) {
-                                let w = rng.range_u64(0, *words as u64) as usize;
-                                c.rams.insert(pfx.clone(), MemOp::Read(w));
-                            }
+                    for (pfx, words) in &p.rams {
+                        if rng.chance(1, 3) {
+                            let w = rng.range_u64(0, *words as u64) as usize;
+                            c.rams.insert(pfx.clone(), MemOp::Read(w));
                         }
-                        for (si, (pfx, _)) in p.stacks.iter().enumerate() {
-                            if sps[si] > 0 && rng.chance(1, 3) {
-                                sps[si] -= 1;
-                                c.stacks.insert(pfx.clone(), StackOp::Pop(sps[si]));
-                            }
+                    }
+                    for (si, (pfx, _)) in p.stacks.iter().enumerate() {
+                        if sps[si] > 0 && rng.chance(1, 3) {
+                            sps[si] -= 1;
+                            c.stacks.insert(pfx.clone(), StackOp::Pop(sps[si]));
                         }
                     }
                     for pfx in &p.inports {
@@ -389,20 +376,6 @@ mod tests {
                         None => {}
                     }
                 }
-            }
-        }
-    }
-
-    #[test]
-    fn legacy_flag_suppresses_ram_and_stack_ops() {
-        for seed in 0..20 {
-            let mut spec = SpecGen::random_cosim_spec(&mut Rng::new(seed), "p");
-            spec.flags
-                .insert(bristle_core::LEGACY_INVERTING_READ.into(), true);
-            let prog = Program::random(&spec, seed, 30);
-            for c in &prog.cycles {
-                assert!(c.rams.is_empty(), "seed {seed}: RAM op in legacy mode");
-                assert!(c.stacks.is_empty(), "seed {seed}: stack op in legacy mode");
             }
         }
     }

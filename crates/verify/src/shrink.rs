@@ -65,8 +65,8 @@ fn candidate_program(spec: &ChipSpec, seed: u64, skip: usize, cycles: usize) -> 
 
 /// Rebuilds a spec with the given elements, carrying over everything
 /// else (data width unless overridden, user microcode fields, flags —
-/// dropping `LEGACY_INVERTING_READ` here would silently shrink against
-/// the wrong cell library and equivalence relation).
+/// dropping a conditional-assembly flag here would silently shrink a
+/// different chip than the one that failed).
 fn rebuild(spec: &ChipSpec, width: u32, elements: Vec<ElementSpec>) -> Option<ChipSpec> {
     let mut b = ChipSpec::builder(spec.name.clone()).data_width(width);
     for (name, w) in &spec.user_fields {

@@ -8,12 +8,9 @@
 //!
 //! Seed policy: every case derives from `BASE_SEED + index`. To replay
 //! one case locally: `BRISTLE_VERIFY_SEED=<seed> cargo test --release
-//! --test differential -- one_seed --nocapture`. Set
-//! `BRISTLE_VERIFY_LEGACY=1` to run the same seeds against the legacy
-//! inverting-read cell library (the CI extended sweep runs both legs
-//! during the migration release). On failure the minimal reproducer
-//! dump is written to `target/verify-failures/` (CI uploads that
-//! directory as an artifact).
+//! --test differential -- one_seed --nocapture`. On failure the minimal
+//! reproducer dump is written to `target/verify-failures/` (CI uploads
+//! that directory as an artifact).
 
 use std::fmt::Write as _;
 
@@ -35,13 +32,7 @@ fn dump_failure(name: &str, text: &str) {
 }
 
 fn run_seed(seed: u64) -> Result<bristle_verify::CosimStats, String> {
-    let mut spec = SpecGen::random_cosim_spec(&mut Rng::new(seed), &format!("dv{seed:x}"));
-    if std::env::var("BRISTLE_VERIFY_LEGACY").is_ok_and(|v| v == "1") {
-        // Migration leg: same seeds, pre-inverter cell library and the
-        // inverting-read equivalence relation.
-        spec.flags
-            .insert(bristle_blocks::core::LEGACY_INVERTING_READ.into(), true);
-    }
+    let spec = SpecGen::random_cosim_spec(&mut Rng::new(seed), &format!("dv{seed:x}"));
     let program = Program::random(&spec, seed ^ 0x9E37_79B9, CYCLES);
     run_cosim(&spec, &program).map_err(|e| match e {
         CosimError::Diverged(_) => {

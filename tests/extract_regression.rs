@@ -1,8 +1,8 @@
-//! Regression tests pinning the indexed/parallel extraction pipeline to
-//! the exact netlists the naive pre-index extractor produces — the
-//! "identical netlist" guarantee of the flatten-once rework.
+//! Regression tests pinning the indexed extraction pipeline to the exact
+//! netlists the naive pre-index extractor produces — the "identical
+//! netlist" guarantee of the flatten-once rework.
 
-use bristle_bench::{compile, reference_specs};
+use bristle_bench::{compile, reference_specs, sweep_spec};
 use bristle_blocks::extract::extract;
 
 /// The indexed extractor must equal the naive reference — net names,
@@ -73,33 +73,13 @@ fn cpu16_netlist_golden_counts() {
     assert_eq!(n, again, "extraction must be deterministic");
 }
 
-/// The legacy inverting-read flag reproduces the pre-inverter library
-/// exactly: the old golden counts still hold behind it, and the
-/// reference-extractor identity is flag-independent.
-#[test]
-fn cpu16_legacy_flag_reproduces_old_goldens() {
-    let mut spec = reference_specs()[3].clone();
-    spec.flags
-        .insert(bristle_blocks::core::LEGACY_INVERTING_READ.into(), true);
-    let chip = compile(&spec).unwrap();
-    let n = extract(&chip.lib, chip.core_cell);
-    assert_eq!(n.net_count(), 1552, "legacy net count");
-    assert_eq!(n.transistors.len(), 1008, "legacy transistor count");
-    assert_eq!(n.terminals.len(), 4096, "legacy terminal count");
-    assert!(
-        n.transistors
-            .iter()
-            .all(|t| t.kind == bristle_blocks::extract::TransistorKind::Enhancement),
-        "legacy precharged core is all-enhancement"
-    );
-    let slow = bristle_blocks::extract::extract_reference(&chip.lib, chip.core_cell);
-    assert_eq!(n, slow, "legacy netlist must match the reference extractor");
-}
-
-/// The remaining reference chips stay identical too (fast, so all three).
+/// The remaining reference chips stay identical too (fast, so all
+/// three), as does the `sweep_spec(8, 4, 2)` sweep chip.
 #[test]
 fn smaller_reference_chips_identical_to_reference_extractor() {
-    for spec in &reference_specs()[..3] {
+    let mut specs = reference_specs()[..3].to_vec();
+    specs.push(sweep_spec(8, 4, 2));
+    for spec in &specs {
         let chip = compile(spec).unwrap();
         let fast = extract(&chip.lib, chip.core_cell);
         let slow = bristle_blocks::extract::extract_reference(&chip.lib, chip.core_cell);
