@@ -100,8 +100,13 @@ pub struct ElementInfo {
     pub kind: String,
     /// Unique prefix (`e<i>_<kind>`).
     pub prefix: String,
-    /// Column cell ids, west to east.
+    /// Column cell ids, west to east. Storage elements lay out one
+    /// column per register, RAM word or stack level, so this is also
+    /// their size.
     pub columns: Vec<CellId>,
+    /// Element-local decoder-driven control lines `(local name,
+    /// decode)`, in column order, one entry per name.
+    pub controls: Vec<(String, ControlLine)>,
     /// x-interval occupied in core coordinates.
     pub x_span: (i64, i64),
 }
@@ -323,11 +328,22 @@ impl Compiler {
                 total_ua += lib.total_power_ua(col) * u64::from(spec.data_width);
                 x += w;
             }
+            let mut controls: Vec<(String, ControlLine)> = Vec::new();
+            for &col in &cols {
+                for b in lib.cell(col).bristles() {
+                    if let Flavor::Control(line) = &b.flavor {
+                        if !controls.iter().any(|(n, _)| *n == b.name) {
+                            controls.push((b.name.clone(), line.clone()));
+                        }
+                    }
+                }
+            }
             elements.push(ElementInfo {
                 index: p.index,
                 kind: p.kind,
                 prefix: p.ctx.prefix,
                 columns: cols,
+                controls,
                 x_span: (x_start, x),
             });
         }
@@ -836,16 +852,13 @@ impl CompiledChip {
             if e.index == usize::MAX {
                 continue; // precharge is implicit in the bus model
             }
-            let espec = &self.spec.elements[e.index];
-            let count = espec.params.get("count").copied().unwrap_or(2) as usize;
-            let words = espec.params.get("words").copied().unwrap_or(4) as usize;
-            let depth = espec.params.get("depth").copied().unwrap_or(4) as usize;
-            let behavior = match espec.kind.as_str() {
-                "registers" => bristle_sim::behaviors::register_file(&e.prefix, count),
+            let size = e.columns.len();
+            let behavior = match e.kind.as_str() {
+                "registers" => bristle_sim::behaviors::register_file(&e.prefix, size),
                 "alu" => bristle_sim::behaviors::alu(&e.prefix),
                 "shifter" => bristle_sim::behaviors::shifter(&e.prefix),
-                "ram" => bristle_sim::behaviors::decoded_ram(&e.prefix, words),
-                "stack" => bristle_sim::behaviors::decoded_stack(&e.prefix, depth),
+                "ram" => bristle_sim::behaviors::decoded_ram(&e.prefix, size),
+                "stack" => bristle_sim::behaviors::decoded_stack(&e.prefix, size),
                 "inport" => {
                     bristle_sim::behaviors::input_port(&e.prefix, format!("{}_pad", e.prefix))
                 }
@@ -856,18 +869,11 @@ impl CompiledChip {
                     return Err(CompileError::UnknownElement(other.to_owned()));
                 }
             };
-            // Bind control lines: every control bristle in this element's
-            // columns, deduplicated by local name.
-            let mut refs: Vec<(&str, ControlLine)> = Vec::new();
-            for &col in &e.columns {
-                for b in self.lib.cell(col).bristles() {
-                    if let Flavor::Control(line) = &b.flavor {
-                        if !refs.iter().any(|(n, _)| *n == b.name) {
-                            refs.push((b.name.as_str(), line.clone()));
-                        }
-                    }
-                }
-            }
+            let refs: Vec<(&str, ControlLine)> = e
+                .controls
+                .iter()
+                .map(|(n, l)| (n.as_str(), l.clone()))
+                .collect();
             machine.add_element(behavior, &refs)?;
         }
         Ok(machine)

@@ -80,15 +80,31 @@ impl ChipSpec {
     }
 }
 
+/// Writes the single-page text format that [`crate::parse_page`] reads
+/// back into an equal spec.
 impl fmt::Display for ChipSpec {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "chip `{}`: {} bits, buses {:?}", self.name, self.data_width, self.buses)?;
-        for (i, e) in self.elements.iter().enumerate() {
-            write!(f, "  e{i}: {}", e.kind)?;
+        writeln!(f, "chip {}", self.name)?;
+        for (name, width) in &self.user_fields {
+            writeln!(f, "field {name} {width}")?;
+        }
+        writeln!(f, "width {}", self.data_width)?;
+        writeln!(f, "buses {}", self.buses.join(" "))?;
+        for e in &self.elements {
+            write!(f, "element {}", e.kind)?;
             for (k, v) in &e.params {
                 write!(f, " {k}={v}")?;
             }
             writeln!(f)?;
+            if e.break_bus_a {
+                writeln!(f, "break A")?;
+            }
+            if e.break_bus_b {
+                writeln!(f, "break B")?;
+            }
+        }
+        for (name, on) in &self.flags {
+            writeln!(f, "flag {name} {}", if *on { "on" } else { "off" })?;
         }
         Ok(())
     }

@@ -14,7 +14,6 @@
 //! | [`alu`] | `lda`, `ldb` latch operands; `out` drives result on bus A | `op0..op2` select the operation |
 //! | [`shifter`] | `ld` from bus A; `out` drives bus B | `sl`/`sr` shift by one |
 //! | [`decoded_stack`] | `push` & `selw<i>` latch bus A into level i; `pop` & `sel<i>` drive level i | commit + sp update |
-//! | [`ram`] | `adr` latches bus B as address; `wr` latches bus A; `rd` drives bus A | write commits |
 //! | [`decoded_ram`] | `rd` & `sel<i>` drive word i; `wr` & `selw<i>` latch bus A | write commits |
 //! | [`input_port`] | `drv` drives bus A from the pad | — |
 //! | [`output_port`] | `ld` latches bus A | value appears on the pad |
@@ -250,83 +249,6 @@ pub fn shifter(name: impl Into<String>) -> Box<dyn Behavior> {
     Box::new(Shifter {
         name: name.into(),
         value: 0,
-    })
-}
-
-struct Ram {
-    name: String,
-    mem: Vec<u64>,
-    addr: u64,
-    pending_write: Option<u64>,
-}
-
-impl Behavior for Ram {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn phi1_drive(&mut self, ctx: &ElementCtx<'_>) -> [Option<u64>; 2] {
-        if ctx.control("rd") {
-            let v = self
-                .mem
-                .get(self.addr as usize)
-                .copied()
-                .unwrap_or(ctx.mask);
-            [Some(v), None]
-        } else {
-            [None, None]
-        }
-    }
-
-    fn phi1_sample(&mut self, ctx: &mut ElementCtx<'_>, buses: [u64; 2]) {
-        if ctx.control("adr") {
-            self.addr = buses[1] & ctx.mask;
-        }
-        if ctx.control("wr") {
-            self.pending_write = Some(buses[0] & ctx.mask);
-        }
-    }
-
-    fn phi2(&mut self, _ctx: &mut ElementCtx<'_>) {
-        if let Some(v) = self.pending_write.take() {
-            if let Some(slot) = self.mem.get_mut(self.addr as usize) {
-                *slot = v;
-            }
-        }
-    }
-
-    fn state(&self) -> Vec<(String, u64)> {
-        let mut s = vec![("addr".into(), self.addr)];
-        for (i, &v) in self.mem.iter().enumerate() {
-            s.push((format!("m{i}"), v));
-        }
-        s
-    }
-
-    fn poke(&mut self, key: &str, value: u64) -> bool {
-        if key == "addr" {
-            self.addr = value;
-            return true;
-        }
-        if let Some(idx) = key.strip_prefix('m').and_then(|s| s.parse::<usize>().ok()) {
-            if idx < self.mem.len() {
-                self.mem[idx] = value;
-                return true;
-            }
-        }
-        false
-    }
-}
-
-/// A `words`-deep RAM: `adr` latches the address from bus B, `wr` writes
-/// bus A on φ2, `rd` drives bus A.
-#[must_use]
-pub fn ram(name: impl Into<String>, words: usize) -> Box<dyn Behavior> {
-    Box::new(Ram {
-        name: name.into(),
-        mem: vec![0; words],
-        addr: 0,
-        pending_write: None,
     })
 }
 
@@ -816,26 +738,5 @@ mod tests {
         let buses = m.step_word(idle_pop).unwrap();
         assert_eq!(buses[0], 0xFF, "undriven bus stays precharged");
         assert_eq!(m.peek("st", "sp").unwrap(), 1);
-    }
-
-    #[test]
-    fn ram_read_write() {
-        let mut mc = Microcode::new();
-        mc.add_field("r", 3).unwrap();
-        let mut m = Machine::new(8, mc);
-        m.add_element(
-            ram("mem", 16),
-            &[
-                ("adr", ctl("r", ActiveWhen::AnyOf(vec![1, 2, 3]), Phase::Phi1)),
-                ("wr", ctl("r", ActiveWhen::Equals(2), Phase::Phi1)),
-                ("rd", ctl("r", ActiveWhen::Equals(4), Phase::Phi1)),
-            ],
-        )
-        .unwrap();
-        m.poke("mem", "m5", 99).unwrap();
-        m.poke("mem", "addr", 5).unwrap();
-        let rd = m.microcode().encode(&[("r", 4)]).unwrap();
-        let buses = m.step_word(rd).unwrap();
-        assert_eq!(buses[0], 99);
     }
 }

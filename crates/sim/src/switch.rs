@@ -110,9 +110,8 @@ pub struct SwitchSim<'a> {
     vdd: Vec<NetId>,
     gnd: Vec<NetId>,
     inputs: HashMap<NetId, Level>,
-    /// Retained level per net (charge memory between settles).
-    memory: Vec<Level>,
-    /// Resolved (strength, level) of the last settle.
+    /// Resolved (strength, level) of the last settle; its levels are
+    /// the charge each net retains into the next settle.
     state: Vec<(Strength, Level)>,
 }
 
@@ -137,7 +136,6 @@ impl<'a> SwitchSim<'a> {
             vdd: rails("VDD"),
             gnd: rails("GND"),
             inputs: HashMap::new(),
-            memory: vec![Level::X; n],
             state: vec![(Strength::Charged, Level::X); n],
         }
     }
@@ -205,7 +203,6 @@ impl<'a> SwitchSim<'a> {
     /// the same state as a freshly built functional [`crate::Machine`]
     /// (whose registers read 0).
     pub fn preset_all(&mut self, level: Level) {
-        self.memory.fill(level);
         for s in &mut self.state {
             *s = (Strength::Charged, level);
         }
@@ -229,8 +226,10 @@ impl<'a> SwitchSim<'a> {
     pub fn settle(&mut self) -> Result<(), SwitchError> {
         let n = self.netlist.net_count();
         // Base drives.
-        let mut state: Vec<(Strength, Level)> = (0..n)
-            .map(|i| (Strength::Charged, self.memory[i]))
+        let mut state: Vec<(Strength, Level)> = self
+            .state
+            .iter()
+            .map(|&(_, level)| (Strength::Charged, level))
             .collect();
         for vdd in &self.vdd {
             state[vdd.0 as usize] = (Strength::Strong, Level::L1);
@@ -313,16 +312,12 @@ impl<'a> SwitchSim<'a> {
             }
             state = next;
         }
-        for i in 0..n {
-            self.memory[i] = state[i].1;
-        }
         self.state = state;
         Ok(())
     }
 
     /// Clears charge memory (power-on reset to all-X).
     pub fn reset(&mut self) {
-        self.memory.fill(Level::X);
         for s in &mut self.state {
             *s = (Strength::Charged, Level::X);
         }
@@ -589,7 +584,7 @@ mod tests {
         );
         let mut sim = SwitchSim::new(&n);
         sim.preset_all(Level::L0);
-        sim.memory[2] = Level::L1; // a charged high, b charged low
+        sim.state[2].1 = Level::L1; // a charged high, b charged low
         sim.set_input("en", Level::L1).unwrap();
         sim.settle().unwrap();
         assert_eq!(sim.level("a").unwrap(), Level::L1);

@@ -18,13 +18,20 @@
 //!    plates and every stack level's `level` plates equal the machine's
 //!    state, and output-port pad words equal the machine's pads.
 //!
+//! Every per-element fact the driver needs comes from
+//! [`CompiledChip::elements`]: the control lines it drives are each
+//! element's `controls`, bound exactly as [`CompiledChip::simulation`]
+//! binds the machine, and the storage it checks is one register, RAM
+//! word or stack level per element column. Nothing is re-derived from
+//! the spec's parameters.
+//!
 //! The silicon is initialized with an explicit power-on preset
 //! (all nodes low) so dynamic storage starts equal to the machine's
 //! all-zero registers; see [`SwitchSim::preset_all`].
 
 use std::fmt;
 
-use bristle_cell::{ControlLine, Flavor, Phase};
+use bristle_cell::Phase;
 use bristle_core::{ChipSpec, CompileError, CompiledChip, Compiler};
 use bristle_extract::extract;
 use bristle_sim::{BridgeError, Level, NetlistBridge, SimError, SwitchSim};
@@ -113,24 +120,45 @@ impl From<BridgeError> for CosimError {
     }
 }
 
-/// Per-element control bindings gathered from the compiled layout: the
-/// same (local name, decode spec) pairs the decoder drives.
-fn element_controls(chip: &CompiledChip) -> Vec<(String, Vec<(String, ControlLine)>)> {
-    let mut out = Vec::new();
+/// The storage checks per element kind: `(kind, machine state key,
+/// [(check name, plate probe)])`. Storage column `i` must hold the
+/// machine's `<key><i>` on every listed plate.
+const STORAGE_CHECKS: [(&str, &str, &[(&str, &str)]); 3] = [
+    (
+        "registers",
+        "r",
+        &[("storeA", "storeA"), ("storeB", "storeB")],
+    ),
+    ("ram", "m", &[("ram-cell", "cell")]),
+    ("stack", "s", &[("stack-level", "level")]),
+];
+
+/// Drives every element's decoder-driven control lines for one phase:
+/// a line of that phase is up when its decode holds for `word`, every
+/// other line is down. `None` (power-on) drives them all down.
+fn drive_controls(
+    bridge: &mut NetlistBridge<'_>,
+    chip: &CompiledChip,
+    word: u64,
+    phase: Option<Phase>,
+) -> Result<(), CosimError> {
     for e in &chip.elements {
-        let mut refs: Vec<(String, ControlLine)> = Vec::new();
-        for &col in &e.columns {
-            for b in chip.lib.cell(col).bristles() {
-                if let Flavor::Control(line) = &b.flavor {
-                    if !refs.iter().any(|(n, _)| *n == b.name) {
-                        refs.push((b.name.clone(), line.clone()));
-                    }
-                }
-            }
+        for (local, line) in &e.controls {
+            let on = if phase == Some(line.phase) {
+                let field = chip
+                    .microcode
+                    .extract(word, &line.field)
+                    .map_err(SimError::Microcode)?;
+                line.active.eval(field)
+            } else {
+                false
+            };
+            // Controls may be missing from the netlist only if a cell has
+            // no geometry for them — that would itself be a bug, so fail.
+            bridge.drive_group(&e.prefix, local, Level::from_bool(on))?;
         }
-        out.push((e.prefix.clone(), refs));
     }
-    out
+    Ok(())
 }
 
 /// Runs the differential co-simulation; equivalent to
@@ -161,7 +189,6 @@ pub fn run_cosim_with(
         f.apply(&mut netlist);
     }
     let mut machine = chip.simulation()?;
-    let controls = element_controls(&chip);
     let mut bridge = NetlistBridge::new(&netlist, spec.data_width)?;
     let mask = if spec.data_width == 64 {
         u64::MAX
@@ -172,13 +199,7 @@ pub fn run_cosim_with(
     // Power-on: all storage low (matching the machine's zeroed registers),
     // every decoder column and pad driven low, then one φ2 to precharge.
     bridge.sim.preset_all(Level::L0);
-    for (prefix, refs) in &controls {
-        for (local, _) in refs {
-            // Controls may be missing from the netlist only if a cell has
-            // no geometry for them — that would itself be a bug, so fail.
-            bridge.drive_group(prefix, local, Level::L0)?;
-        }
-    }
+    drive_controls(&mut bridge, &chip, 0, None)?;
     for p in &program.inports {
         bridge.drive_word(p, "pad_in", 0)?;
         machine.set_pad(format!("{p}_pad"), 0);
@@ -216,16 +237,7 @@ pub fn run_cosim_with(
         // φ1: decode-asserted controls up, φ2 clocks down, settle.
         bridge.drive_clocks("phi2", Level::L0);
         bridge.drive_clocks("phi1", Level::L1);
-        for (prefix, refs) in &controls {
-            for (local, line) in refs {
-                let field = machine
-                    .microcode()
-                    .extract(word, &line.field)
-                    .map_err(SimError::Microcode)?;
-                let on = line.phase == Phase::Phi1 && line.active.eval(field);
-                bridge.drive_group(prefix, local, Level::from_bool(on))?;
-            }
-        }
+        drive_controls(&mut bridge, &chip, word, Some(Phase::Phi1))?;
         bridge.settle()?;
 
         let phys_a = bridge.read_bus(0);
@@ -246,16 +258,7 @@ pub fn run_cosim_with(
         checks += 2;
 
         // φ2: controls down except φ2-phase decodes, clocks swap, settle.
-        for (prefix, refs) in &controls {
-            for (local, line) in refs {
-                let field = machine
-                    .microcode()
-                    .extract(word, &line.field)
-                    .map_err(SimError::Microcode)?;
-                let on = line.phase == Phase::Phi2 && line.active.eval(field);
-                bridge.drive_group(prefix, local, Level::from_bool(on))?;
-            }
-        }
+        drive_controls(&mut bridge, &chip, word, Some(Phase::Phi2))?;
         bridge.drive_clocks("phi1", Level::L0);
         bridge.drive_clocks("phi2", Level::L1);
         bridge.settle()?;
@@ -269,49 +272,22 @@ pub fn run_cosim_with(
             checks += 1;
         }
 
-        // Storage equivalence: every register's plates equal the
-        // machine's registers (both plates are written from bus A), and
-        // RAM words and stack levels co-simulate actively — their plates
-        // must match too.
-        for (eidx, e) in spec.elements.iter().enumerate() {
-            let prefix = format!("e{eidx}_{}", e.kind);
-            match e.kind.as_str() {
-                "registers" => {
-                    let count = e.params.get("count").copied().unwrap_or(2) as usize;
-                    for r in 0..count {
-                        let want = machine.peek(&prefix, &format!("r{r}"))?;
-                        for plate in ["storeA", "storeB"] {
-                            let got = bridge.read_column_word(&prefix, plate, r as u32);
-                            if got != Ok(want) {
-                                return Err(diverge(plate, &prefix, want, &got));
-                            }
-                            checks += 1;
-                        }
+        // Storage equivalence: every register's plates (both written
+        // from bus A), RAM word and stack level equals the machine's
+        // state, one storage column per register, word or level.
+        for e in &chip.elements {
+            let Some(&(_, key, probes)) = STORAGE_CHECKS.iter().find(|c| c.0 == e.kind) else {
+                continue;
+            };
+            for col in 0..e.columns.len() {
+                let want = machine.peek(&e.prefix, &format!("{key}{col}"))?;
+                for &(check, plate) in probes {
+                    let got = bridge.read_column_word(&e.prefix, plate, col as u32);
+                    if got != Ok(want) {
+                        return Err(diverge(check, &e.prefix, want, &got));
                     }
+                    checks += 1;
                 }
-                "ram" => {
-                    let words = e.params.get("words").copied().unwrap_or(4) as usize;
-                    for w in 0..words {
-                        let want = machine.peek(&prefix, &format!("m{w}"))?;
-                        let got = bridge.read_column_word(&prefix, "cell", w as u32);
-                        if got != Ok(want) {
-                            return Err(diverge("ram-cell", &prefix, want, &got));
-                        }
-                        checks += 1;
-                    }
-                }
-                "stack" => {
-                    let depth = e.params.get("depth").copied().unwrap_or(4) as usize;
-                    for l in 0..depth {
-                        let want = machine.peek(&prefix, &format!("s{l}"))?;
-                        let got = bridge.read_column_word(&prefix, "level", l as u32);
-                        if got != Ok(want) {
-                            return Err(diverge("stack-level", &prefix, want, &got));
-                        }
-                        checks += 1;
-                    }
-                }
-                _ => {}
             }
         }
 

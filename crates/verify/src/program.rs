@@ -20,7 +20,8 @@
 //!
 //! Generation is prefix-stable: the first `k` cycles of a longer program
 //! generated from the same seed are identical, which is what lets the
-//! shrinker truncate programs without re-rolling earlier cycles.
+//! shrinker regenerate a shorter program without re-rolling earlier
+//! cycles.
 
 use std::collections::BTreeMap;
 
@@ -117,46 +118,6 @@ pub struct Program {
     pub stacks: Vec<(String, usize)>,
 }
 
-/// Element prefixes as the compiler assigns them (`e<i>_<kind>`).
-struct Prefixes {
-    regs: Vec<(String, usize)>,
-    inports: Vec<String>,
-    outports: Vec<String>,
-    rams: Vec<(String, usize)>,
-    stacks: Vec<(String, usize)>,
-}
-
-fn prefixes(spec: &ChipSpec) -> Prefixes {
-    let mut p = Prefixes {
-        regs: Vec::new(),
-        inports: Vec::new(),
-        outports: Vec::new(),
-        rams: Vec::new(),
-        stacks: Vec::new(),
-    };
-    for (i, e) in spec.elements.iter().enumerate() {
-        let prefix = format!("e{i}_{}", e.kind);
-        match e.kind.as_str() {
-            "registers" => {
-                let count = e.params.get("count").copied().unwrap_or(2) as usize;
-                p.regs.push((prefix, count));
-            }
-            "inport" => p.inports.push(prefix),
-            "outport" => p.outports.push(prefix),
-            "ram" => {
-                let words = e.params.get("words").copied().unwrap_or(4) as usize;
-                p.rams.push((prefix, words));
-            }
-            "stack" => {
-                let depth = e.params.get("depth").copied().unwrap_or(4) as usize;
-                p.stacks.push((prefix, depth));
-            }
-            _ => {}
-        }
-    }
-    p
-}
-
 impl Program {
     /// Generates `cycles` random transfer cycles for `spec`.
     ///
@@ -166,10 +127,31 @@ impl Program {
     /// co-sim specs guarantee both.
     #[must_use]
     pub fn random(spec: &ChipSpec, seed: u64, cycles: usize) -> Program {
-        let p = prefixes(spec);
+        // Element prefixes as the compiler assigns them (`e<i>_<kind>`).
+        let mut p = Program {
+            cycles: Vec::with_capacity(cycles),
+            reg_elements: Vec::new(),
+            inports: Vec::new(),
+            outports: Vec::new(),
+            rams: Vec::new(),
+            stacks: Vec::new(),
+        };
+        for (i, e) in spec.elements.iter().enumerate() {
+            let prefix = format!("e{i}_{}", e.kind);
+            let size =
+                |key: &str, default: i64| e.params.get(key).copied().unwrap_or(default) as usize;
+            match e.kind.as_str() {
+                "registers" => p.reg_elements.push((prefix, size("count", 2))),
+                "inport" => p.inports.push(prefix),
+                "outport" => p.outports.push(prefix),
+                "ram" => p.rams.push((prefix, size("words", 4))),
+                "stack" => p.stacks.push((prefix, size("depth", 4))),
+                _ => {}
+            }
+        }
         assert!(!p.inports.is_empty(), "cosim spec must carry an inport");
         assert!(
-            !p.regs.is_empty(),
+            !p.reg_elements.is_empty(),
             "cosim spec must carry a register element"
         );
         let mut rng = Rng::new(seed);
@@ -181,7 +163,6 @@ impl Program {
         // Model stack pointers, one per stack element, evolved alongside
         // generation so the encoded `_sp` level is always the real one.
         let mut sps: Vec<usize> = vec![0; p.stacks.len()];
-        let mut out = Vec::with_capacity(cycles);
         for _ in 0..cycles {
             let mut c = Cycle::default();
             match rng.range_u64(0, 8) {
@@ -194,7 +175,7 @@ impl Program {
                             c.inports.insert(pfx.clone(), rng.next() & mask);
                         }
                     }
-                    for (pfx, count) in &p.regs {
+                    for (pfx, count) in &p.reg_elements {
                         if rng.chance(2, 3) {
                             c.regs.entry(pfx.clone()).or_default().load =
                                 Some(rng.range_u64(0, *count as u64) as usize);
@@ -220,7 +201,7 @@ impl Program {
                 }
                 // Read cycle: random selects, optional co-driving pads.
                 4..=6 => {
-                    for (pfx, count) in &p.regs {
+                    for (pfx, count) in &p.reg_elements {
                         let ops = c.regs.entry(pfx.clone()).or_default();
                         if rng.chance(2, 3) {
                             ops.read_a = Some(rng.range_u64(0, *count as u64) as usize);
@@ -250,16 +231,9 @@ impl Program {
                 // Idle cycle.
                 _ => {}
             }
-            out.push(c);
+            p.cycles.push(c);
         }
-        Program {
-            cycles: out,
-            reg_elements: p.regs,
-            inports: p.inports,
-            outports: p.outports,
-            rams: p.rams,
-            stacks: p.stacks,
-        }
+        p
     }
 
     /// Encodes one cycle into a microcode word.
@@ -306,19 +280,6 @@ impl Program {
         let refs: Vec<(&str, u64)> = fields.iter().map(|(n, v)| (n.as_str(), *v)).collect();
         mc.encode(&refs)
     }
-
-    /// Truncates to the first `n` cycles (prefix-stable shrink step).
-    #[must_use]
-    pub fn truncated(&self, n: usize) -> Program {
-        Program {
-            cycles: self.cycles[..n.min(self.cycles.len())].to_vec(),
-            reg_elements: self.reg_elements.clone(),
-            inports: self.inports.clone(),
-            outports: self.outports.clone(),
-            rams: self.rams.clone(),
-            stacks: self.stacks.clone(),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -332,7 +293,6 @@ mod tests {
         let long = Program::random(&spec, 11, 20);
         let short = Program::random(&spec, 11, 8);
         assert_eq!(&long.cycles[..8], &short.cycles[..]);
-        assert_eq!(long.truncated(8).cycles, short.cycles);
     }
 
     #[test]

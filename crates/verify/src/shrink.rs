@@ -16,7 +16,7 @@
 
 use std::fmt;
 
-use bristle_core::{ChipSpec, ElementSpec};
+use bristle_core::ChipSpec;
 
 use crate::cosim::{run_cosim_with, CosimError, Divergence};
 use crate::fault::Fault;
@@ -39,19 +39,22 @@ pub struct MinimalRepro {
     pub runs: usize,
 }
 
+/// The report is itself a page: the run details are `#` comments and
+/// the spec follows as the page `parse_page` reads, so a dump replays
+/// its chip without the case seed.
 impl fmt::Display for MinimalRepro {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "minimal reproducer ({} shrink runs):", self.runs)?;
+        writeln!(f, "# minimal reproducer ({} shrink runs):", self.runs)?;
         // `program_seed` is NOT the BRISTLE_VERIFY_SEED case seed: replay
         // by regenerating `Program::random(&spec, program_seed, skip +
         // cycles)`, draining `skip` cycles, and running against `spec`.
         writeln!(
             f,
-            "  program_seed={} cycles={} skip={}",
+            "#   program_seed={} cycles={} skip={}",
             self.seed, self.cycles, self.skip
         )?;
-        writeln!(f, "  {}", self.divergence)?;
-        write!(f, "  {}", self.spec)
+        writeln!(f, "#   {}", self.divergence)?;
+        write!(f, "{}", self.spec)
     }
 }
 
@@ -63,46 +66,34 @@ fn candidate_program(spec: &ChipSpec, seed: u64, skip: usize, cycles: usize) -> 
     p
 }
 
-/// Rebuilds a spec with the given elements, carrying over everything
-/// else (data width unless overridden, user microcode fields, flags —
-/// dropping a conditional-assembly flag here would silently shrink a
-/// different chip than the one that failed).
-fn rebuild(spec: &ChipSpec, width: u32, elements: Vec<ElementSpec>) -> Option<ChipSpec> {
-    let mut b = ChipSpec::builder(spec.name.clone()).data_width(width);
-    for (name, w) in &spec.user_fields {
-        b = b.microcode_field(name.clone(), *w);
-    }
-    for (name, value) in &spec.flags {
-        b = b.flag(name.clone(), *value);
-    }
-    for e in elements {
-        b = b.push_element(e);
-    }
-    b.build().ok()
-}
-
+/// `spec` without element `drop`. Like every shrink candidate it keeps
+/// everything else — name, buses, user microcode fields, flags, bus
+/// breaks — so the shrinker never drifts to a different chip than the
+/// one that failed.
 fn spec_without(spec: &ChipSpec, drop: usize) -> Option<ChipSpec> {
     if spec.elements.len() <= 1 {
         return None;
     }
-    let elements: Vec<ElementSpec> = spec
-        .elements
-        .iter()
-        .enumerate()
-        .filter(|&(i, _)| i != drop)
-        .map(|(_, e)| e.clone())
-        .collect();
+    let mut elements = spec.elements.clone();
+    elements.remove(drop);
     // The program generator needs an inport and a register bank.
     if !elements.iter().any(|e| e.kind == "inport")
         || !elements.iter().any(|e| e.kind == "registers")
     {
         return None;
     }
-    rebuild(spec, spec.data_width, elements)
+    Some(ChipSpec {
+        elements,
+        ..spec.clone()
+    })
 }
 
-fn spec_with_width(spec: &ChipSpec, width: u32) -> Option<ChipSpec> {
-    rebuild(spec, width, spec.elements.clone())
+/// `spec` at another data width, everything else kept.
+fn spec_with_width(spec: &ChipSpec, data_width: u32) -> ChipSpec {
+    ChipSpec {
+        data_width,
+        ..spec.clone()
+    }
 }
 
 /// Shrinks a failing (spec, program-seed, fault) case to a minimal
@@ -178,9 +169,7 @@ pub fn shrink(
             if runs.get() >= budget {
                 break;
             }
-            let Some(candidate) = spec_with_width(&best_spec, w) else {
-                continue;
-            };
+            let candidate = spec_with_width(&best_spec, w);
             if let Some(d) = check(&candidate, skip, best_cycles) {
                 best_spec = candidate;
                 divergence = d;
@@ -198,4 +187,42 @@ pub fn shrink(
         divergence,
         runs: runs.get(),
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn candidates_keep_the_spec_identity() {
+        let spec = ChipSpec::builder("keep")
+            .data_width(6)
+            .microcode_field("lit", 3)
+            .bus("X")
+            .bus("Y")
+            .element("inport", &[])
+            .element("registers", &[("count", 3)])
+            .break_bus(0)
+            .element("alu", &[])
+            .break_bus(1)
+            .flag("PROTOTYPE", true)
+            .build()
+            .unwrap();
+        let without = spec_without(&spec, 2).unwrap();
+        assert_eq!(without.elements, spec.elements[..2]);
+        let narrow = spec_with_width(&spec, 2);
+        assert_eq!(narrow.data_width, 2);
+        for c in [&without, &narrow] {
+            assert_eq!(c.name, spec.name);
+            assert_eq!(c.buses, spec.buses);
+            assert_eq!(c.user_fields, spec.user_fields);
+            assert_eq!(c.flags, spec.flags);
+        }
+        assert!(without.elements[1].break_bus_a);
+        assert!(narrow.elements[1].break_bus_a && narrow.elements[2].break_bus_b);
+        // Dropping the inport or the only register bank yields no
+        // candidate: the program generator needs both.
+        assert!(spec_without(&spec, 0).is_none());
+        assert!(spec_without(&spec, 1).is_none());
+    }
 }

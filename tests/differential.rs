@@ -14,6 +14,7 @@
 
 use std::fmt::Write as _;
 
+use bristle_blocks::core::parse_page;
 use bristle_verify::{
     run_cosim, run_cosim_with, shrink, CosimError, Fault, Program, Rng, SpecGen,
 };
@@ -219,6 +220,8 @@ fn injected_fault_is_caught_and_shrunk() {
     assert_eq!(repro.spec.data_width, 2, "width should shrink to 2");
     let text = repro.to_string();
     assert!(text.contains("seed="), "report must carry the seed: {text}");
+    // The report is a page: its spec replays without the case seed.
+    assert_eq!(parse_page(&text).as_ref(), Ok(&repro.spec), "{text}");
     // And the reproducer replays: same divergence check fails again.
     let program = Program::random(&repro.spec, repro.seed, repro.skip + repro.cycles);
     let mut program = program;
