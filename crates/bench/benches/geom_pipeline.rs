@@ -1,7 +1,6 @@
 //! The flatten-once geometry pipeline on the large sweep chips: pins the
-//! flatten cache, the indexed (serial) extractor and hierarchical DRC —
-//! the only threaded pass — on the biggest specs the sweep generator
-//! produces.
+//! flatten cache, the indexed extractor and hierarchical DRC on the
+//! biggest specs the sweep generator produces. Every pass is serial.
 //!
 //! Also cross-checks (in `--test` smoke mode) that the indexed extractor
 //! matches the naive reference on the smallest workload.

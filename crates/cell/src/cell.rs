@@ -15,10 +15,10 @@
 //!
 //! * Each cache entry holds the cell's **subtree-local** flat shapes —
 //!   every shape of the cell and its descendants, transformed into the
-//!   cell's own coordinate frame, paths relative to the cell.
+//!   cell's own coordinate frame.
 //! * A parent entry is composed from child entries by applying the
-//!   instance transform to each cached child shape and prefixing the
-//!   instance name onto the path. Transform composition is associative
+//!   instance transform to each cached child shape. Transform
+//!   composition is associative
 //!   (`s.transform(a).transform(b) == s.transform(b.after(&a))`), so the
 //!   composed result is identical to a direct recursive flatten, in the
 //!   same depth-first order.
@@ -26,9 +26,9 @@
 //!   [`Library::add_instance`]) clears the whole cache. `add_cell` keeps
 //!   it: a new cell can only reference existing cells, so existing
 //!   entries stay valid.
-//! * The cache sits behind an `RwLock`, so `&Library` can be shared
-//!   across hierarchical DRC's scoped-thread per-cell loop; cloning a
-//!   library starts with a cold cache.
+//! * The cache sits behind an `RwLock`, so filling it needs only
+//!   `&Library` and the library stays `Sync`; cloning a library starts
+//!   with a cold cache.
 //! * Bristle flattening ([`Library::flat_bristles_shared`]) is memoized
 //!   the same way, in a sibling cache with identical invariants (both
 //!   caches are cleared together).
@@ -293,16 +293,6 @@ impl fmt::Display for Cell {
     }
 }
 
-/// A flattened shape with its absolute transform applied, produced by
-/// [`Library::flatten`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct FlatShape {
-    /// The transformed shape in top-cell coordinates.
-    pub shape: Shape,
-    /// Slash-separated instance path, empty for top-level shapes.
-    pub path: String,
-}
-
 /// An arena of cells forming a DAG via instances.
 ///
 /// The paper stores cell definitions "in disk files … to allow for the use
@@ -318,7 +308,7 @@ pub struct Library {
     by_name: HashMap<String, CellId>,
     /// Memoized subtree-local flat shapes, keyed by cell. Cleared on any
     /// mutation; see the module docs.
-    flat_cache: RwLock<HashMap<CellId, Arc<Vec<FlatShape>>>>,
+    flat_cache: RwLock<HashMap<CellId, Arc<Vec<Shape>>>>,
     /// Memoized subtree-local flat bristles, same invariants as
     /// `flat_cache` (cleared together with it).
     bristle_cache: RwLock<HashMap<CellId, Arc<Vec<Bristle>>>>,
@@ -420,16 +410,6 @@ impl Library {
             .clear();
     }
 
-    /// Drops every memoized flatten entry, releasing the cached
-    /// geometry. The cache holds subtree-local flat copies for each
-    /// flattened cell (across a deep hierarchy that can sum to several
-    /// times one top-level flatten), so long-lived libraries that are
-    /// done with back-end passes can call this to reclaim the memory.
-    /// Purely a performance hint: later flattens recompute on demand.
-    pub fn clear_flat_cache(&self) {
-        self.invalidate_flat_cache();
-    }
-
     /// Looks a cell up by name.
     #[must_use]
     pub fn find(&self, name: &str) -> Option<CellId> {
@@ -500,7 +480,7 @@ impl Library {
     }
 
     /// Flattens a cell: every shape in the hierarchy, transformed into the
-    /// top cell's coordinates, tagged with its instance path.
+    /// top cell's coordinates.
     ///
     /// Memoized — see [`Library::flatten_shared`] for the zero-copy
     /// variant the hot passes use.
@@ -509,7 +489,7 @@ impl Library {
     ///
     /// Panics if `id` did not come from this library.
     #[must_use]
-    pub fn flatten(&self, id: CellId) -> Vec<FlatShape> {
+    pub fn flatten(&self, id: CellId) -> Vec<Shape> {
         self.flatten_shared(id).as_ref().clone()
     }
 
@@ -522,36 +502,18 @@ impl Library {
     ///
     /// Panics if `id` did not come from this library.
     #[must_use]
-    pub fn flatten_shared(&self, id: CellId) -> Arc<Vec<FlatShape>> {
+    pub fn flatten_shared(&self, id: CellId) -> Arc<Vec<Shape>> {
         if let Some(hit) = self.flat_cache.read().expect("flat cache poisoned").get(&id) {
             return Arc::clone(hit);
         }
         let cell = self.cell(id);
-        let mut out: Vec<FlatShape> = cell
-            .shapes()
-            .iter()
-            .map(|s| FlatShape {
-                shape: s.clone(),
-                path: String::new(),
-            })
-            .collect();
+        let mut out = cell.shapes().to_vec();
         for inst in cell.instances() {
-            // Compose the child's cached subtree at this instance:
-            // transform its shapes and prefix its paths. This equals a
-            // direct recursive flatten because shape transforms compose.
+            // Compose the child's cached subtree at this instance. This
+            // equals a direct recursive flatten because shape transforms
+            // compose.
             let child = self.flatten_shared(inst.cell);
-            out.reserve(child.len());
-            for fs in child.iter() {
-                let path = if fs.path.is_empty() {
-                    inst.name.clone()
-                } else {
-                    format!("{}/{}", inst.name, fs.path)
-                };
-                out.push(FlatShape {
-                    shape: fs.shape.transform(&inst.transform),
-                    path,
-                });
-            }
+            out.extend(child.iter().map(|s| s.transform(&inst.transform)));
         }
         let arc = Arc::new(out);
         // Racing computations of the same cell produce identical values;
@@ -646,7 +608,7 @@ impl Library {
     /// Panics if `id` did not come from this library.
     #[must_use]
     pub fn drawn_area(&self, id: CellId) -> i64 {
-        self.flatten_shared(id).iter().map(|fs| fs.shape.area()).sum()
+        self.flatten_shared(id).iter().map(Shape::area).sum()
     }
 }
 
@@ -740,8 +702,7 @@ mod tests {
         let t = lib.add_cell(top).unwrap();
         let flat = lib.flatten(t);
         assert_eq!(flat.len(), 1);
-        assert_eq!(flat[0].path, "v/u");
-        assert_eq!(flat[0].shape.bbox(), Rect::new(5, 5, 9, 7));
+        assert_eq!(flat[0].bbox(), Rect::new(5, 5, 9, 7));
     }
 
     #[test]
@@ -795,27 +756,16 @@ mod tests {
     }
 
     /// Reference flatten: the direct recursion the cache must match.
-    fn flatten_reference(lib: &Library, id: CellId) -> Vec<FlatShape> {
-        fn go(lib: &Library, id: CellId, t: &Transform, path: &str, out: &mut Vec<FlatShape>) {
+    fn flatten_reference(lib: &Library, id: CellId) -> Vec<Shape> {
+        fn go(lib: &Library, id: CellId, t: &Transform, out: &mut Vec<Shape>) {
             let cell = lib.cell(id);
-            for s in cell.shapes() {
-                out.push(FlatShape {
-                    shape: s.transform(t),
-                    path: path.to_owned(),
-                });
-            }
+            out.extend(cell.shapes().iter().map(|s| s.transform(t)));
             for inst in cell.instances() {
-                let child_t = t.after(&inst.transform);
-                let child_path = if path.is_empty() {
-                    inst.name.clone()
-                } else {
-                    format!("{path}/{}", inst.name)
-                };
-                go(lib, inst.cell, &child_t, &child_path, out);
+                go(lib, inst.cell, &t.after(&inst.transform), out);
             }
         }
         let mut out = Vec::new();
-        go(lib, id, &Transform::IDENTITY, "", &mut out);
+        go(lib, id, &Transform::IDENTITY, &mut out);
         out
     }
 
@@ -984,9 +934,6 @@ mod tests {
         lib.add_instance(top, a, "w2", Transform::translate(Point::new(40, 0)))
             .unwrap();
         assert!(lib.flat_bristles(top).len() > count);
-        assert_eq!(lib.flat_bristles(top), flat_bristles_reference(&lib, top));
-        // `clear_flat_cache` clears; recompute still matches.
-        lib.clear_flat_cache();
         assert_eq!(lib.flat_bristles(top), flat_bristles_reference(&lib, top));
         // Clones start cold and still agree.
         let cloned = lib.clone();

@@ -1,10 +1,10 @@
 //! The checker itself.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 
 use bristle_cell::{CellId, Library, Shape, ShapeGeom};
-use bristle_geom::{covered_by, par_map, Layer, QueryScratch, Rect, RectIndex};
+use bristle_geom::{covered_by, Layer, QueryScratch, Rect, RectIndex};
 
 use crate::rules::{RuleKind, RuleSet};
 
@@ -32,8 +32,8 @@ impl fmt::Display for Violation {
 pub struct Report {
     /// All violations found.
     pub violations: Vec<Violation>,
-    /// Number of candidate shape pairs examined (the hierarchical-vs-flat
-    /// cost metric reported by the benches).
+    /// Number of candidate shape pairs examined by the same-layer and
+    /// poly–diffusion spacing rules: how much searching the run did.
     pub checked_pairs: u64,
 }
 
@@ -42,12 +42,6 @@ impl Report {
     #[must_use]
     pub fn is_clean(&self) -> bool {
         self.violations.is_empty()
-    }
-
-    /// Merges another report into this one.
-    pub fn merge(&mut self, other: Report) {
-        self.violations.extend(other.violations);
-        self.checked_pairs += other.checked_pairs;
     }
 }
 
@@ -69,12 +63,6 @@ impl fmt::Display for Report {
 struct LayerSoup {
     rects: Vec<(Rect, u32)>,
     index: RectIndex,
-}
-
-impl LayerSoup {
-    fn rect_list(&self) -> Vec<Rect> {
-        self.rects.iter().map(|&(r, _)| r).collect()
-    }
 }
 
 struct Soup {
@@ -107,8 +95,45 @@ impl Soup {
         self.layers.get(&layer)
     }
 
-    fn rects(&self, layer: Layer) -> Vec<Rect> {
-        self.layer(layer).map(LayerSoup::rect_list).unwrap_or_default()
+    /// The rects of one layer, untagged.
+    fn rects(&self, layer: Layer) -> impl Iterator<Item = Rect> + '_ {
+        self.layer(layer).into_iter().flat_map(|l| l.rects.iter().map(|&(r, _)| r))
+    }
+}
+
+/// Window queries against a [`Soup`]'s per-layer indexes. Device rules
+/// ask small questions ("does poly cover this strip?") of the whole
+/// chip, so each one looks only at the rects touching its window.
+struct Probe<'a> {
+    soup: &'a Soup,
+    scratch: QueryScratch,
+    hits: Vec<Rect>,
+}
+
+impl<'a> Probe<'a> {
+    fn new(soup: &'a Soup) -> Probe<'a> {
+        Probe {
+            soup,
+            scratch: QueryScratch::new(),
+            hits: Vec::new(),
+        }
+    }
+
+    /// The rects of `layer` that touch `window`.
+    fn near(&mut self, layer: Layer, window: Rect) -> &[Rect] {
+        self.hits.clear();
+        if let Some(ls) = self.soup.layer(layer) {
+            let hits = &mut self.hits;
+            ls.index.query_with(window, &mut self.scratch, |_, r| hits.push(r));
+        }
+        &self.hits
+    }
+
+    /// True when `layer` covers `window`. A rect that does not touch the
+    /// window covers none of it, so the hits decide exactly as the whole
+    /// layer would.
+    fn covers(&mut self, layer: Layer, window: Rect) -> bool {
+        covered_by(window, self.near(layer, window))
     }
 }
 
@@ -184,57 +209,56 @@ fn check_spacing(
     }
 }
 
+/// Transistor, poly–diffusion spacing, contact and implant rules. These
+/// judge the artwork as fabricated, so they run on a flat soup.
+fn check_devices(cell: &str, soup: &Soup, rules: &RuleSet, out: &mut Report) {
+    let mut probe = Probe::new(soup);
+    check_transistors(cell, &mut probe, rules, out);
+    check_poly_diff_spacing(cell, &mut probe, rules, out);
+    check_contacts(cell, &mut probe, rules, out);
+}
+
 /// Poly∩diffusion overlap regions that are not covered by a buried
 /// contact: the transistor gates.
-fn gate_regions(soup: &Soup) -> Vec<Rect> {
+fn gate_regions(probe: &mut Probe<'_>) -> Vec<Rect> {
     let mut gates = Vec::new();
-    let (Some(poly), Some(diff)) = (soup.layer(Layer::Poly), soup.layer(Layer::Diffusion))
-    else {
+    let soup = probe.soup;
+    let Some(diff) = soup.layer(Layer::Diffusion) else {
         return gates;
     };
-    let buried = soup.rects(Layer::Buried);
     let mut scratch = QueryScratch::new();
-    for &(p, _) in &poly.rects {
+    for p in soup.rects(Layer::Poly) {
         diff.index.query_with(p, &mut scratch, |_, d| {
-            if let Some(g) = p.intersection(&d) {
-                if !covered_by(g, &buried) {
-                    gates.push(g);
-                }
-            }
+            gates.extend(p.intersection(&d));
         });
     }
     // Merge duplicates (identical regions found via different rect pairs).
     gates.sort_unstable();
     gates.dedup();
+    gates.retain(|&g| !probe.covers(Layer::Buried, g));
     gates
 }
 
-fn check_transistors(cell: &str, soup: &Soup, rules: &RuleSet, out: &mut Report) {
-    let poly = soup.rects(Layer::Poly);
-    let diff = soup.rects(Layer::Diffusion);
-    let implant = soup.rects(Layer::Implant);
-    for g in gate_regions(soup) {
-        let oh = rules.gate_overhang;
-        let ext = rules.sd_extension;
+fn check_transistors(cell: &str, probe: &mut Probe<'_>, rules: &RuleSet, out: &mut Report) {
+    let oh = rules.gate_overhang;
+    let ext = rules.sd_extension;
+    let m = rules.implant_margin;
+    for g in gate_regions(probe) {
         // Configuration A: poly runs horizontally (overhangs left/right),
         // diffusion runs vertically (extends below/above).
-        let a_ok = covered_by(Rect::new(g.x0 - oh, g.y0, g.x0, g.y1), &poly)
-            && covered_by(Rect::new(g.x1, g.y0, g.x1 + oh, g.y1), &poly)
-            && covered_by(Rect::new(g.x0, g.y0 - ext, g.x1, g.y0), &diff)
-            && covered_by(Rect::new(g.x0, g.y1, g.x1, g.y1 + ext), &diff);
+        let poly_a = probe.covers(Layer::Poly, Rect::new(g.x0 - oh, g.y0, g.x0, g.y1))
+            && probe.covers(Layer::Poly, Rect::new(g.x1, g.y0, g.x1 + oh, g.y1));
+        let diff_a = probe.covers(Layer::Diffusion, Rect::new(g.x0, g.y0 - ext, g.x1, g.y0))
+            && probe.covers(Layer::Diffusion, Rect::new(g.x0, g.y1, g.x1, g.y1 + ext));
         // Configuration B: rotated 90°.
-        let b_ok = covered_by(Rect::new(g.x0, g.y0 - oh, g.x1, g.y0), &poly)
-            && covered_by(Rect::new(g.x0, g.y1, g.x1, g.y1 + oh), &poly)
-            && covered_by(Rect::new(g.x0 - ext, g.y0, g.x0, g.y1), &diff)
-            && covered_by(Rect::new(g.x1, g.y0, g.x1 + ext, g.y1), &diff);
-        if !(a_ok || b_ok) {
+        let poly_b = probe.covers(Layer::Poly, Rect::new(g.x0, g.y0 - oh, g.x1, g.y0))
+            && probe.covers(Layer::Poly, Rect::new(g.x0, g.y1, g.x1, g.y1 + oh));
+        let diff_b = probe.covers(Layer::Diffusion, Rect::new(g.x0 - ext, g.y0, g.x0, g.y1))
+            && probe.covers(Layer::Diffusion, Rect::new(g.x1, g.y0, g.x1 + ext, g.y1));
+        if !(poly_a && diff_a || poly_b && diff_b) {
             // Attribute the failure: overhang if neither poly side pair
             // works, else source/drain extension.
-            let poly_ok_a = covered_by(Rect::new(g.x0 - oh, g.y0, g.x0, g.y1), &poly)
-                && covered_by(Rect::new(g.x1, g.y0, g.x1 + oh, g.y1), &poly);
-            let poly_ok_b = covered_by(Rect::new(g.x0, g.y0 - oh, g.x1, g.y0), &poly)
-                && covered_by(Rect::new(g.x0, g.y1, g.x1, g.y1 + oh), &poly);
-            let rule = if poly_ok_a || poly_ok_b {
+            let rule = if poly_a || poly_b {
                 RuleKind::SourceDrainExtension
             } else {
                 RuleKind::GateOverhang
@@ -246,11 +270,12 @@ fn check_transistors(cell: &str, soup: &Soup, rules: &RuleSet, out: &mut Report)
                 message: "malformed transistor crossing".into(),
             });
         }
-        // Implant: all-or-nothing with margin.
-        let m = rules.implant_margin;
-        let overlapping = implant.iter().any(|i| i.overlaps(&g));
-        if overlapping {
-            if !covered_by(g.inflate(m), &implant) {
+        // Implant: all-or-nothing with margin. Every implant rect that
+        // overlaps the gate or lies within `m` of it touches `window`.
+        let window = g.inflate(m);
+        let implant = probe.near(Layer::Implant, window);
+        if implant.iter().any(|i| i.overlaps(&g)) {
+            if !covered_by(window, implant) {
                 out.violations.push(Violation {
                     rule: RuleKind::ImplantCoverage,
                     at: g,
@@ -258,7 +283,7 @@ fn check_transistors(cell: &str, soup: &Soup, rules: &RuleSet, out: &mut Report)
                     message: format!("implant does not surround gate by {m}λ"),
                 });
             }
-        } else if implant.iter().any(|i| i.spacing(&g) < m && !i.overlaps(&g)) {
+        } else if implant.iter().any(|i| i.spacing(&g) < m) {
             out.violations.push(Violation {
                 rule: RuleKind::ImplantCoverage,
                 at: g,
@@ -269,26 +294,28 @@ fn check_transistors(cell: &str, soup: &Soup, rules: &RuleSet, out: &mut Report)
     }
 }
 
-fn check_poly_diff_spacing(cell: &str, soup: &Soup, rules: &RuleSet, out: &mut Report) {
-    let (Some(poly), Some(diff)) = (soup.layer(Layer::Poly), soup.layer(Layer::Diffusion))
-    else {
+fn check_poly_diff_spacing(cell: &str, probe: &mut Probe<'_>, rules: &RuleSet, out: &mut Report) {
+    let soup = probe.soup;
+    let Some(diff) = soup.layer(Layer::Diffusion) else {
         return;
     };
-    let buried = soup.rects(Layer::Buried);
     let s = rules.space_poly_diff;
     let mut scratch = QueryScratch::new();
-    for &(p, _) in &poly.rects {
-        diff.index.query_with(p.inflate(s), &mut scratch, |_, d| {
+    let mut near = Vec::new();
+    for p in soup.rects(Layer::Poly) {
+        near.clear();
+        diff.index.query_with(p.inflate(s), &mut scratch, |_, d| near.push(d));
+        for d in &near {
             out.checked_pairs += 1;
-            if p.overlaps(&d) {
-                return; // transistor or buried junction: handled elsewhere
+            if p.overlaps(d) {
+                continue; // transistor or buried junction: handled elsewhere
             }
-            let gap = p.spacing(&d);
+            let gap = p.spacing(d);
             if gap < s {
                 // A butting junction is fine when a buried contact spans it.
-                let junction = p.union(&d);
-                if buried.iter().any(|b| b.overlaps(&junction)) {
-                    return;
+                let junction = p.union(d);
+                if probe.near(Layer::Buried, junction).iter().any(|b| b.overlaps(&junction)) {
+                    continue;
                 }
                 out.violations.push(Violation {
                     rule: RuleKind::PolyDiffSpacing,
@@ -297,29 +324,25 @@ fn check_poly_diff_spacing(cell: &str, soup: &Soup, rules: &RuleSet, out: &mut R
                     message: format!("poly–diffusion gap {gap}λ < {s}λ"),
                 });
             }
-        });
+        }
     }
 }
 
-fn check_contacts(cell: &str, soup: &Soup, rules: &RuleSet, out: &mut Report) {
-    let metal = soup.rects(Layer::Metal);
-    let poly = soup.rects(Layer::Poly);
-    let diff = soup.rects(Layer::Diffusion);
+fn check_contacts(cell: &str, probe: &mut Probe<'_>, rules: &RuleSet, out: &mut Report) {
+    let soup = probe.soup;
     let e = rules.contact_enclosure;
-    for &(c, _) in soup.layer(Layer::Contact).map(|l| l.rects.as_slice()).unwrap_or(&[]) {
-        if c.width() != rules.contact_size || c.height() != rules.contact_size {
+    let size = rules.contact_size;
+    for c in soup.rects(Layer::Contact) {
+        if c.width() != size || c.height() != size {
             out.violations.push(Violation {
                 rule: RuleKind::ContactSize,
                 at: c,
                 cell: cell.to_owned(),
-                message: format!(
-                    "contact {}x{}λ, must be {0}x{0}λ",
-                    rules.contact_size,
-                    c.width().max(c.height())
-                ),
+                message: format!("contact {}x{}λ, must be {size}x{size}λ", c.width(), c.height()),
             });
         }
-        if !covered_by(c.inflate(e), &metal) {
+        let landing = c.inflate(e);
+        if !probe.covers(Layer::Metal, landing) {
             out.violations.push(Violation {
                 rule: RuleKind::ContactMetalEnclosure,
                 at: c,
@@ -327,7 +350,7 @@ fn check_contacts(cell: &str, soup: &Soup, rules: &RuleSet, out: &mut Report) {
                 message: format!("metal does not enclose contact by {e}λ"),
             });
         }
-        if !covered_by(c.inflate(e), &poly) && !covered_by(c.inflate(e), &diff) {
+        if !probe.covers(Layer::Poly, landing) && !probe.covers(Layer::Diffusion, landing) {
             out.violations.push(Violation {
                 rule: RuleKind::ContactLandingEnclosure,
                 at: c,
@@ -336,8 +359,8 @@ fn check_contacts(cell: &str, soup: &Soup, rules: &RuleSet, out: &mut Report) {
             });
         }
     }
-    for &(b, _) in soup.layer(Layer::Buried).map(|l| l.rects.as_slice()).unwrap_or(&[]) {
-        if !covered_by(b, &poly) || !covered_by(b, &diff) {
+    for b in soup.rects(Layer::Buried) {
+        if !probe.covers(Layer::Poly, b) || !probe.covers(Layer::Diffusion, b) {
             out.violations.push(Violation {
                 rule: RuleKind::BuriedEnclosure,
                 at: b,
@@ -348,33 +371,12 @@ fn check_contacts(cell: &str, soup: &Soup, rules: &RuleSet, out: &mut Report) {
     }
 }
 
-fn check_soup(
-    cell: &str,
-    shapes: &[(&Shape, u32)],
-    rules: &RuleSet,
-    skip_same_group: bool,
-    widths: bool,
-    devices: bool,
-) -> Report {
-    let mut out = Report::default();
-    if widths {
-        check_shape_widths(cell, shapes.iter().map(|&(s, _)| s), rules, &mut out);
-    }
-    let soup = Soup::build(shapes.iter().copied());
-    check_spacing(cell, &soup, rules, skip_same_group, &mut out);
-    if devices {
-        check_transistors(cell, &soup, rules, &mut out);
-        check_poly_diff_spacing(cell, &soup, rules, &mut out);
-        check_contacts(cell, &soup, rules, &mut out);
-    }
-    out
-}
-
 /// Checks a fully flattened cell hierarchy against `rules`.
 ///
 /// Every rule runs on the complete artwork — the brute-force mode the
-/// paper contrasts with per-cell checking. The flattened view comes from
-/// the library's memoized cache, so repeated checks re-use the geometry.
+/// paper contrasts with per-cell checking, kept as the oracle for
+/// [`check_hierarchical`]. The flattened view comes from the library's
+/// memoized cache, so repeated checks re-use the geometry.
 ///
 /// # Panics
 ///
@@ -382,34 +384,32 @@ fn check_soup(
 #[must_use]
 pub fn check_flat(lib: &Library, top: CellId, rules: &RuleSet) -> Report {
     let flat = lib.flatten_shared(top);
-    let shapes: Vec<(&Shape, u32)> = flat.iter().map(|fs| (&fs.shape, OWN_GROUP)).collect();
-    check_soup(lib.cell(top).name(), &shapes, rules, false, true, true)
+    let name = lib.cell(top).name();
+    let mut report = Report::default();
+    check_shape_widths(name, flat.iter(), rules, &mut report);
+    let soup = Soup::build(flat.iter().map(|s| (s, OWN_GROUP)));
+    check_spacing(name, &soup, rules, false, &mut report);
+    check_devices(name, &soup, rules, &mut report);
+    report
 }
 
 /// Hierarchical DRC in the Bristle Blocks style.
 ///
-/// Each distinct cell is checked **once** in isolation (widths, spacing,
-/// transistor/contact/implant rules on its full flattened artwork); then
-/// every parent is checked for **inter-instance** interactions only
-/// (spacing between geometry belonging to different child instances, or
-/// between children and the parent's own shapes). Intra-instance pairs
-/// are skipped — their cell was already checked.
+/// Each distinct cell's own shapes get width and spacing checks
+/// **once**; then every parent is checked for **inter-instance**
+/// interactions only (spacing between geometry belonging to different
+/// child instances, or between children and the parent's own shapes).
+/// Intra-instance pairs are skipped — their cell was already checked.
 ///
 /// With interface-standard abutment, the inter-instance work is confined
 /// to narrow boundary bands, so `checked_pairs` is far below
-/// [`check_flat`]'s (the `drc` bench quantifies this).
+/// [`check_flat`]'s.
 ///
-/// Limitations: devices must be contained within a single cell (the
-/// generators in `bristle-stdcells` guarantee this); cross-cell
-/// transistors would be missed.
-///
-/// The per-cell loop runs in parallel — the only threaded pass in the
-/// pipeline, and the one grain measured to pay (extraction is serial):
-/// each distinct cell is an independent unit of work, the
-/// library's memoized flatten cache supplies every subtree exactly once
-/// (no re-flatten per parent instance), and the per-cell reports are
-/// merged in deterministic (dependency) order before the final
-/// sort + dedup, so the violation list is reproducible run to run.
+/// Device rules (transistors, poly–diffusion spacing, contacts, implant)
+/// judge the artwork as fabricated: they run once, on the flattened
+/// `top`, and their violations are reported against `top`. A transistor
+/// formed by poly in one instance crossing diffusion in another is
+/// therefore checked like any other.
 ///
 /// # Panics
 ///
@@ -417,22 +417,16 @@ pub fn check_flat(lib: &Library, top: CellId, rules: &RuleSet) -> Report {
 #[must_use]
 pub fn check_hierarchical(lib: &Library, top: CellId, rules: &RuleSet) -> Report {
     let mut order: Vec<CellId> = Vec::new();
-    let mut seen = std::collections::HashSet::new();
-    collect(lib, top, &mut seen, &mut order);
-
-    // Warm the flatten cache bottom-up (order is post-order) so the
-    // parallel workers below mostly read it.
-    for &id in &order {
-        let _ = lib.flatten_shared(id);
-    }
-
-    let per_cell = par_map(&order, |_, &id| check_cell(lib, id, rules));
+    collect(lib, top, &mut HashSet::new(), &mut order);
     let mut report = Report::default();
-    for r in per_cell {
-        report.merge(r);
+    for &id in &order {
+        check_cell(lib, id, rules, &mut report);
     }
-    // De-duplicate: device rules re-detect the same gate in parents that
-    // flatten children; a cell's violations may repeat across contexts.
+    let flat = lib.flatten_shared(top);
+    let soup = Soup::build(flat.iter().map(|s| (s, OWN_GROUP)));
+    check_devices(lib.cell(top).name(), &soup, rules, &mut report);
+    // Sorted for a stable report; a violation found through several
+    // rect pairs (same rule, place and cell) is reported once.
     report.violations.sort_by(|a, b| {
         (a.rule, a.at, &a.cell).cmp(&(b.rule, b.at, &b.cell))
     });
@@ -442,38 +436,16 @@ pub fn check_hierarchical(lib: &Library, top: CellId, rules: &RuleSet) -> Report
     report
 }
 
-/// One cell's worth of hierarchical DRC: isolation rules plus
+/// One cell's widths and spacing: its own shapes in isolation, then
 /// inter-instance interactions within this parent.
-fn check_cell(lib: &Library, id: CellId, rules: &RuleSet) -> Report {
-    let mut report = Report::default();
+fn check_cell(lib: &Library, id: CellId, rules: &RuleSet, report: &mut Report) {
     let cell = lib.cell(id);
-    // 1. The cell in isolation. Only intra-cell spacing between the
-    // cell's *own* shapes plus device rules; instance interiors are
-    // their own cells' business. Widths: own shapes only (children
-    // already checked).
+    // 1. The cell's *own* shapes; instance interiors are their own
+    // cells' business.
     let own_shapes: Vec<(&Shape, u32)> =
         cell.shapes().iter().map(|s| (s, OWN_GROUP)).collect();
-    report.merge(check_soup(cell.name(), &own_shapes, rules, false, true, false));
-    // Device rules need full context (a gate's diffusion may continue
-    // into a neighbor). They run once per distinct cell on its flat
-    // view — but only when the cell's *own* shapes touch device
-    // layers; pure-assembly parents (the compiler's "glue") contribute
-    // no devices of their own and their children were already checked.
-    let has_own_device_shapes = cell.shapes().iter().any(|s| {
-        matches!(
-            s.layer,
-            Layer::Poly | Layer::Diffusion | Layer::Contact | Layer::Buried | Layer::Implant
-        )
-    });
-    if has_own_device_shapes {
-        let own_flat = lib.flatten_shared(id);
-        let mut dev = Report::default();
-        let soup = Soup::build(own_flat.iter().map(|fs| (&fs.shape, OWN_GROUP)));
-        check_transistors(cell.name(), &soup, rules, &mut dev);
-        check_poly_diff_spacing(cell.name(), &soup, rules, &mut dev);
-        check_contacts(cell.name(), &soup, rules, &mut dev);
-        report.merge(dev);
-    }
+    check_shape_widths(cell.name(), cell.shapes().iter(), rules, report);
+    check_spacing(cell.name(), &Soup::build(own_shapes.iter().copied()), rules, false, report);
 
     // 2. Inter-instance spacing within this parent. Children come from
     // the flatten cache — composed once per distinct cell, not once per
@@ -483,24 +455,17 @@ fn check_cell(lib: &Library, id: CellId, rules: &RuleSet) -> Report {
         for (gi, inst) in cell.instances().iter().enumerate() {
             let child = lib.flatten_shared(inst.cell);
             placed.reserve(child.len());
-            for fs in child.iter() {
-                placed.push((fs.shape.transform(&inst.transform), gi as u32));
+            for s in child.iter() {
+                placed.push((s.transform(&inst.transform), gi as u32));
             }
         }
-        let mut tagged: Vec<(&Shape, u32)> =
-            cell.shapes().iter().map(|s| (s, OWN_GROUP)).collect();
+        let mut tagged = own_shapes;
         tagged.extend(placed.iter().map(|(s, g)| (s, *g)));
-        report.merge(check_soup(cell.name(), &tagged, rules, true, false, false));
+        check_spacing(cell.name(), &Soup::build(tagged.into_iter()), rules, true, report);
     }
-    report
 }
 
-fn collect(
-    lib: &Library,
-    id: CellId,
-    seen: &mut std::collections::HashSet<CellId>,
-    order: &mut Vec<CellId>,
-) {
+fn collect(lib: &Library, id: CellId, seen: &mut HashSet<CellId>, order: &mut Vec<CellId>) {
     if !seen.insert(id) {
         return;
     }
@@ -737,6 +702,49 @@ mod tests {
             .violations
             .iter()
             .any(|v| v.rule == RuleKind::MinSpacing(Layer::Metal)));
+    }
+
+    #[test]
+    fn contact_size_message_names_the_cut() {
+        let shapes = vec![
+            Shape::rect(Layer::Diffusion, Rect::new(0, 0, 5, 5)),
+            Shape::rect(Layer::Metal, Rect::new(0, 0, 5, 5)),
+            Shape::rect(Layer::Contact, Rect::new(1, 1, 4, 4)), // 3×3 cut
+        ];
+        let (lib, id) = lib_with("c", shapes);
+        let r = check_flat(&lib, id, &rules());
+        let v: Vec<&Violation> = r
+            .violations
+            .iter()
+            .filter(|v| v.rule == RuleKind::ContactSize)
+            .collect();
+        assert_eq!(v.len(), 1, "{r}");
+        assert_eq!(v[0].message, "contact 3x3λ, must be 2x2λ");
+    }
+
+    #[test]
+    fn hierarchical_checks_transistors_across_instances() {
+        // Poly in one instance crosses diffusion in a sibling with only
+        // 1λ overhang; the parent owns no shapes. Neither cell holds a
+        // transistor on its own, so only the assembled artwork shows it.
+        let mut lib = Library::new("t");
+        let mut poly = Cell::new("poly");
+        poly.push_shape(Shape::rect(Layer::Poly, Rect::new(-1, 0, 3, 2)));
+        let pid = lib.add_cell(poly).unwrap();
+        let mut diff = Cell::new("diff");
+        diff.push_shape(Shape::rect(Layer::Diffusion, Rect::new(0, -4, 2, 6)));
+        let did = lib.add_cell(diff).unwrap();
+        let tid = lib.add_cell(Cell::new("top")).unwrap();
+        lib.add_instance(tid, did, "d", Transform::IDENTITY).unwrap();
+        lib.add_instance(tid, pid, "p", Transform::IDENTITY).unwrap();
+        let flat = check_flat(&lib, tid, &rules());
+        let hier = check_hierarchical(&lib, tid, &rules());
+        for r in [&flat, &hier] {
+            assert!(
+                r.violations.iter().any(|v| v.rule == RuleKind::GateOverhang),
+                "{r}"
+            );
+        }
     }
 
     #[test]

@@ -8,9 +8,10 @@
 //! implements both modes:
 //!
 //! * [`check_flat`] — flatten a hierarchy and check every shape pair,
-//! * [`check_hierarchical`] — check each distinct cell once, then check
-//!   only *inter-instance* interactions in each parent; with well-formed
-//!   abutment this visits far fewer pairs (see the `drc` benches).
+//! * [`check_hierarchical`] — check widths and spacing of each distinct
+//!   cell once, then only *inter-instance* spacing in each parent; with
+//!   well-formed abutment this visits far fewer pairs. Device rules
+//!   (transistors, contacts, implant) run once, on the flattened top.
 //!
 //! Checked rules (integer-λ variants of Mead & Conway 1978):
 //!

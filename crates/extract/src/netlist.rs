@@ -74,8 +74,8 @@ pub struct Netlist {
     /// `Library::flat_bristles` reports it, in flatten (depth-first
     /// instance) order. For compiler-built cores that means every
     /// terminal reads `{element}_c{column}_b{bit}/{bristle}` and keeps
-    /// its name across re-extractions, library clones and thread counts —
-    /// which is what lets the differential test bench address signals by
+    /// its name across re-extractions and library clones — which is
+    /// what lets the differential test bench address signals by
     /// name. Terminal *order* is deterministic for a given library.
     pub terminals: Vec<(String, NetId)>,
 }
@@ -196,18 +196,18 @@ pub fn extract(lib: &Library, top: CellId) -> Netlist {
     let mut contacts: Vec<Rect> = Vec::new();
     let mut buried: Vec<Rect> = Vec::new();
     let mut implants: Vec<Rect> = Vec::new();
-    for fs in flat.iter() {
-        let label = fs.shape.label();
-        for r in fs.shape.to_rects() {
+    for shape in flat.iter() {
+        let label = shape.label();
+        for r in shape.to_rects() {
             if r.is_degenerate() {
                 continue;
             }
             let piece = Piece {
-                layer: fs.shape.layer,
+                layer: shape.layer,
                 rect: r,
                 label: label.map(str::to_owned),
             };
-            match fs.shape.layer {
+            match shape.layer {
                 Layer::Poly => poly.push(piece),
                 Layer::Diffusion => diff.push(piece),
                 Layer::Metal => metal.push(piece),
@@ -471,18 +471,18 @@ pub fn extract_reference(lib: &Library, top: CellId) -> Netlist {
     let mut contacts: Vec<Rect> = Vec::new();
     let mut buried: Vec<Rect> = Vec::new();
     let mut implants: Vec<Rect> = Vec::new();
-    for fs in &flat {
-        let label = fs.shape.label().map(str::to_owned);
-        for r in fs.shape.to_rects() {
+    for shape in &flat {
+        let label = shape.label().map(str::to_owned);
+        for r in shape.to_rects() {
             if r.is_degenerate() {
                 continue;
             }
             let piece = Piece {
-                layer: fs.shape.layer,
+                layer: shape.layer,
                 rect: r,
                 label: label.clone(),
             };
-            match fs.shape.layer {
+            match shape.layer {
                 Layer::Poly => poly.push(piece),
                 Layer::Diffusion => diff.push(piece),
                 Layer::Metal => metal.push(piece),

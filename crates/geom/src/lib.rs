@@ -19,9 +19,7 @@
 //! * [`RectIndex`] — a binned spatial index used by DRC and extraction,
 //!   with an allocation-free stamped-dedup query path ([`QueryScratch`]),
 //! * [`covered_by`] — rectangle coverage by residual subtraction, shared
-//!   by DRC enclosure rules and extraction's buried-contact test,
-//! * [`par`] — a deterministic scoped-thread parallel map for
-//!   hierarchical DRC's per-cell loop, the only threaded pass.
+//!   by DRC enclosure rules and extraction's buried-contact test.
 //!
 //! # Examples
 //!
@@ -39,7 +37,6 @@
 
 mod cover;
 mod layer;
-pub mod par;
 mod path;
 mod point;
 mod polygon;
@@ -49,7 +46,6 @@ mod transform;
 
 pub use cover::covered_by;
 pub use layer::Layer;
-pub use par::{max_workers, par_map, set_max_workers};
 pub use path::Path;
 pub use point::Point;
 pub use polygon::Polygon;

@@ -13,7 +13,7 @@
 
 use crate::Rect;
 
-/// Reusable per-thread scratch state for [`RectIndex::query_with`].
+/// Reusable scratch state for [`RectIndex::query_with`].
 ///
 /// Queries visit every bin the window covers; a rectangle spanning
 /// several bins appears in each of them, so the query must deduplicate.

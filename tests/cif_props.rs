@@ -70,7 +70,7 @@ fn cif_round_trip_preserves_geometry() {
         let b = back.flatten(btop);
         assert_eq!(a.len(), b.len(), "case {case}");
         for (x, y) in a.iter().zip(&b) {
-            assert_eq!(&x.shape, &y.shape, "case {case}");
+            assert_eq!(x, y, "case {case}");
         }
     }
 }

@@ -1,10 +1,10 @@
 //! Integration tests spanning the whole workspace: compile complete
 //! chips and hold them to the paper's standards.
 
-use bristle_bench::reference_specs;
+use bristle_bench::{reference_specs, sweep_spec};
 use bristle_blocks::cif::{cif_to_library, parse_cif};
 use bristle_blocks::core::{parse_page, ChipSpec, Compiler};
-use bristle_blocks::drc::{check_hierarchical, RuleSet};
+use bristle_blocks::drc::{check_flat, check_hierarchical, RuleSet};
 use bristle_blocks::extract::extract;
 use bristle_blocks::verify::{Rng, SpecGen};
 
@@ -69,6 +69,31 @@ fn core_cell_is_drc_clean() {
     let chip = Compiler::new().compile(&small()).unwrap();
     let report = check_hierarchical(&chip.lib, chip.core_cell, &RuleSet::mead_conway());
     assert!(report.is_clean(), "{report}");
+}
+
+#[test]
+fn hierarchical_drc_verdict_matches_flat() {
+    // Per-cell checking must reach the same clean/dirty verdict as
+    // checking the fabricated artwork. Some chips are dirty (pad-ring
+    // spacing); the verdicts must still agree.
+    let mut specs = reference_specs();
+    specs.push(sweep_spec(8, 4, 2));
+    let mut rng = Rng::new(0xD2C0);
+    for i in 0..40 {
+        specs.push(SpecGen::random_spec(&mut rng, &format!("rs{i}")));
+    }
+    let rules = RuleSet::mead_conway();
+    for spec in &specs {
+        let chip = Compiler::new().compile(spec).unwrap();
+        let hier = check_hierarchical(&chip.lib, chip.top, &rules);
+        let flat = check_flat(&chip.lib, chip.top, &rules);
+        assert_eq!(
+            hier.is_clean(),
+            flat.is_clean(),
+            "{}: hierarchical {hier}\nflat {flat}",
+            spec.name
+        );
+    }
 }
 
 #[test]
