@@ -1,11 +1,12 @@
 //! Differential-verification throughput: how many random specs per
 //! second the compile → extract → bridge → co-simulate loop sustains.
 //! The per-stage benches isolate where a regression lands: generation,
-//! the full differential run, or the switch-level stepping alone.
+//! the full differential run, one more program on a chip already
+//! prepared, or the switch-level stepping alone.
 
 use bristle_bench::harness::Bench;
 use bristle_extract::extract;
-use bristle_verify::{run_cosim, Program, Rng, SpecGen};
+use bristle_verify::{run_cosim, Prepared, Program, Rng, SpecGen};
 
 const CYCLES: usize = 14;
 
@@ -23,6 +24,13 @@ fn main() {
     let program = Program::random(&spec, seed, CYCLES);
     b.run("cosim/full_run", || {
         run_cosim(&spec, &program).expect("bench spec must co-simulate")
+    });
+
+    // One more program on a chip already compiled, extracted and bound:
+    // what the shrinker pays per candidate program.
+    let prepared = Prepared::new(&spec, None).expect("bench spec must prepare");
+    b.run("cosim/prepared_run", || {
+        prepared.run(&program).expect("bench spec must co-simulate")
     });
 
     // Switch-level stepping alone, compile/extract hoisted out: the

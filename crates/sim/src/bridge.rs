@@ -11,15 +11,17 @@
 //!   the single net the abutting bus tracks form — the bridge verifies
 //!   the rows really are single nets (a free bus-continuity check).
 //! * control columns (`rda0`, `ld`, …) resolve to one net per column per
-//!   bit; the bridge drives every net of a group together, which is
+//!   bit; a driver forces every net of a group together, which is
 //!   exactly what the instruction decoder's poly columns do.
 //! * clock columns (`phi1*`, `phi2*`) form the φ1/φ2 groups.
 //! * storage-plate probes (`storeA`, `opa`, …) and pad wires (`pad_in`,
 //!   `pad_out`) resolve per bit for word-level reads and drives.
 //!
-//! Level↔word conversion is strict: a word read fails loudly on any `X`
-//! bit, because the differential test suite treats `X` on an observed
-//! signal as a divergence, never as "don't care".
+//! The bridge only names nets; a driver binds them once and then drives
+//! and reads the [`SwitchSim`] by id. Word reads ([`read_bits`]) are
+//! strict: a read fails loudly on any `X` bit, because the differential
+//! test suite treats `X` on an observed signal as a divergence, never as
+//! "don't care".
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -102,35 +104,52 @@ impl From<SwitchError> for BridgeError {
     }
 }
 
-/// Packs per-bit levels (LSB first) into a word.
+/// Reads `(bit, net)` pairs of a settled simulator as a `width`-bit
+/// word, LSB on bit row 0. A bit no pair names reads X, a later pair for
+/// a bit overrides an earlier one, and pairs at or above `width` are
+/// ignored.
 ///
 /// # Errors
 ///
-/// [`BridgeError::XLevel`] on the first non-binary bit; `signal` tags the
-/// error for the caller's divergence report.
-pub fn word_from_levels(levels: &[Level], signal: &str) -> Result<u64, BridgeError> {
-    let mut word = 0u64;
-    for (bit, &l) in levels.iter().enumerate() {
-        match l {
-            Level::L0 => {}
-            Level::L1 => word |= 1 << bit,
-            Level::X => {
-                return Err(BridgeError::XLevel {
-                    signal: signal.to_owned(),
-                    bit: bit as u32,
-                })
+/// [`BridgeError::XLevel`] on the lowest non-binary bit. `signal` names
+/// the read in that error and is called only then, so a successful read
+/// builds no string.
+pub fn read_bits(
+    sim: &SwitchSim<'_>,
+    width: u32,
+    bits: impl IntoIterator<Item = (u32, NetId)>,
+    signal: impl FnOnce() -> String,
+) -> Result<u64, BridgeError> {
+    let (mut ones, mut known) = (0u64, 0u64);
+    for (bit, net) in bits {
+        if bit >= width {
+            continue;
+        }
+        let b = 1u64 << bit;
+        ones &= !b;
+        known &= !b;
+        match sim.net_level(net) {
+            Level::L0 => known |= b,
+            Level::L1 => {
+                known |= b;
+                ones |= b;
             }
+            Level::X => {}
         }
     }
-    Ok(word)
-}
-
-/// Unpacks a word into `width` levels, LSB first.
-#[must_use]
-pub fn levels_from_word(word: u64, width: u32) -> Vec<Level> {
-    (0..width)
-        .map(|b| Level::from_bool((word >> b) & 1 == 1))
-        .collect()
+    let full = if width >= 64 {
+        u64::MAX
+    } else {
+        (1u64 << width) - 1
+    };
+    let x = full & !known;
+    if x != 0 {
+        return Err(BridgeError::XLevel {
+            signal: signal(),
+            bit: x.trailing_zeros(),
+        });
+    }
+    Ok(ones)
 }
 
 /// Splits a qualified terminal name `<elem>_c<col>_b<bit>/<local>` into
@@ -151,25 +170,18 @@ pub fn parse_terminal(name: &str) -> Option<(&str, u32, u32, &str)> {
     Some((prefix, col, bit, local))
 }
 
-/// The adapter binding a switch-level simulator to machine-level signal
-/// groups.
-pub struct NetlistBridge<'a> {
-    /// The underlying switch-level simulator (public: harnesses may poke
-    /// nets directly for fault injection or extra observations).
-    pub sim: SwitchSim<'a>,
-    width: u32,
+/// The signal-group map of an extracted core: every name a driver
+/// binds, resolved to nets.
+pub struct NetlistBridge {
     /// `prefix -> local -> terminals` (net-deduplicated, sorted).
     groups: BTreeMap<String, BTreeMap<String, Vec<TerminalNet>>>,
-    /// Per-bit bus nets.
-    bus_a: Vec<NetId>,
-    bus_b: Vec<NetId>,
-    /// Clock-column nets per phase prefix (`phi1` / `phi2`), collected
-    /// once at construction — [`NetlistBridge::drive_clocks`] runs
-    /// four times per co-simulated cycle.
+    /// Per-bit nets of bus A and bus B.
+    buses: [Vec<NetId>; 2],
+    /// Clock-column nets per phase prefix (`phi1` / `phi2`).
     clocks: BTreeMap<&'static str, Vec<NetId>>,
 }
 
-impl<'a> NetlistBridge<'a> {
+impl NetlistBridge {
     /// Builds the bridge over an extracted netlist with the given data
     /// width, verifying bus continuity for both buses across all bit
     /// rows.
@@ -178,7 +190,7 @@ impl<'a> NetlistBridge<'a> {
     ///
     /// [`BridgeError::BusDiscontinuity`] / [`BridgeError::BusRowMissing`]
     /// when the abutted bus tracks do not form one net per bit row.
-    pub fn new(netlist: &'a Netlist, width: u32) -> Result<NetlistBridge<'a>, BridgeError> {
+    pub fn new(netlist: &Netlist, width: u32) -> Result<NetlistBridge, BridgeError> {
         let mut groups: BTreeMap<String, BTreeMap<String, Vec<TerminalNet>>> = BTreeMap::new();
         let mut bus_rows: BTreeMap<(&str, u32), Vec<NetId>> = BTreeMap::new();
         for (name, net) in &netlist.terminals {
@@ -237,8 +249,7 @@ impl<'a> NetlistBridge<'a> {
             }
             Ok(nets)
         };
-        let bus_a = bus("busa")?;
-        let bus_b = bus("busb")?;
+        let buses = [bus("busa")?, bus("busb")?];
         let mut clocks: BTreeMap<&'static str, Vec<NetId>> =
             [("phi1", Vec::new()), ("phi2", Vec::new())].into();
         for m in groups.values() {
@@ -255,19 +266,10 @@ impl<'a> NetlistBridge<'a> {
             }
         }
         Ok(NetlistBridge {
-            sim: SwitchSim::new(netlist),
-            width,
             groups,
-            bus_a,
-            bus_b,
+            buses,
             clocks,
         })
-    }
-
-    /// Data width in bits.
-    #[must_use]
-    pub fn width(&self) -> u32 {
-        self.width
     }
 
     /// Element prefixes seen in the netlist, in sorted order.
@@ -291,126 +293,28 @@ impl<'a> NetlistBridge<'a> {
             })
     }
 
-    /// True if the group exists.
+    /// The nets of every clock column of `phase_prefix` (`"phi1"` or
+    /// `"phi2"`); empty for unrecognized prefixes.
     #[must_use]
-    pub fn has_group(&self, prefix: &str, local: &str) -> bool {
-        self.groups.get(prefix).is_some_and(|m| m.contains_key(local))
+    pub fn clock_nets(&self, phase_prefix: &str) -> &[NetId] {
+        self.clocks.get(phase_prefix).map_or(&[], Vec::as_slice)
     }
 
-    /// Forces every net of a signal group to one level — how a decoder
-    /// column or clock rail drives all bit slices at once.
+    /// The nets of bus A (0) or bus B (1), one per bit row.
     ///
-    /// # Errors
+    /// # Panics
     ///
-    /// [`BridgeError::UnknownSignal`] if the group does not exist.
-    pub fn drive_group(&mut self, prefix: &str, local: &str, level: Level) -> Result<(), BridgeError> {
-        let nets: Vec<NetId> = self.group(prefix, local)?.iter().map(|t| t.net).collect();
-        for net in nets {
-            self.sim.set_net(net, level);
-        }
-        Ok(())
-    }
-
-    /// Drives a per-bit signal group (a pad wire) with a word, LSB on bit
-    /// row 0.
-    ///
-    /// # Errors
-    ///
-    /// [`BridgeError::UnknownSignal`] if the group does not exist.
-    pub fn drive_word(&mut self, prefix: &str, local: &str, word: u64) -> Result<(), BridgeError> {
-        let nets: Vec<(u32, NetId)> = self
-            .group(prefix, local)?
-            .iter()
-            .map(|t| (t.bit, t.net))
-            .collect();
-        for (bit, net) in nets {
-            self.sim
-                .set_net(net, Level::from_bool((word >> bit) & 1 == 1));
-        }
-        Ok(())
-    }
-
-    /// Drives every clock column of `phase_prefix` (`"phi1"` or
-    /// `"phi2"`) across all elements. Unrecognized prefixes drive
-    /// nothing.
-    pub fn drive_clocks(&mut self, phase_prefix: &str, level: Level) {
-        let Some(nets) = self.clocks.get(phase_prefix) else {
-            return;
-        };
-        // The clock sets are fixed at construction; split borrows so the
-        // simulator can be driven without cloning the net list.
-        for &net in nets {
-            self.sim.set_net(net, level);
-        }
-    }
-
-    /// Reads a per-bit signal group as a word, restricted to terminals of
-    /// one column (plate probes repeat per column; a register's plates
-    /// live in column `r`).
-    ///
-    /// # Errors
-    ///
-    /// Unknown group, or [`BridgeError::XLevel`] on a non-binary bit.
-    pub fn read_column_word(
-        &self,
-        prefix: &str,
-        local: &str,
-        column: u32,
-    ) -> Result<u64, BridgeError> {
-        let mut levels = vec![Level::X; self.width as usize];
-        for t in self.group(prefix, local)? {
-            if t.column == column && (t.bit as usize) < levels.len() {
-                levels[t.bit as usize] = self.sim.net_level(t.net);
-            }
-        }
-        word_from_levels(&levels, &format!("{prefix}/{local}[c{column}]"))
-    }
-
-    /// Reads a per-bit signal group (pad wire) as a word.
-    ///
-    /// # Errors
-    ///
-    /// Unknown group, or [`BridgeError::XLevel`] on a non-binary bit.
-    pub fn read_word(&self, prefix: &str, local: &str) -> Result<u64, BridgeError> {
-        let mut levels = vec![Level::X; self.width as usize];
-        for t in self.group(prefix, local)? {
-            if (t.bit as usize) < levels.len() {
-                levels[t.bit as usize] = self.sim.net_level(t.net);
-            }
-        }
-        word_from_levels(&levels, &format!("{prefix}/{local}"))
-    }
-
-    /// Reads bus A (0) or bus B (1) as a word.
-    ///
-    /// # Errors
-    ///
-    /// [`BridgeError::XLevel`] on a non-binary bit.
-    pub fn read_bus(&self, bus: usize) -> Result<u64, BridgeError> {
-        let (nets, name) = if bus == 0 {
-            (&self.bus_a, "busA")
-        } else {
-            (&self.bus_b, "busB")
-        };
-        let levels: Vec<Level> = nets.iter().map(|&n| self.sim.net_level(n)).collect();
-        word_from_levels(&levels, name)
-    }
-
-    /// Relaxes the network.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`SwitchError::Unsettled`].
-    pub fn settle(&mut self) -> Result<(), BridgeError> {
-        self.sim.settle()?;
-        Ok(())
+    /// Panics if `bus` is neither 0 nor 1.
+    #[must_use]
+    pub fn bus_nets(&self, bus: usize) -> &[NetId] {
+        &self.buses[bus]
     }
 }
 
-impl fmt::Debug for NetlistBridge<'_> {
+impl fmt::Debug for NetlistBridge {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("NetlistBridge")
-            .field("width", &self.width)
+            .field("bits", &self.buses[0].len())
             .field("elements", &self.groups.len())
             .finish()
     }
@@ -435,18 +339,6 @@ mod tests {
         assert_eq!(parse_terminal("plain"), None);
         assert_eq!(parse_terminal("a_c1_bx/t"), None);
         assert_eq!(parse_terminal("top/e0_c0_b0/t"), None);
-    }
-
-    #[test]
-    fn word_level_round_trip() {
-        let levels = levels_from_word(0b1011, 6);
-        assert_eq!(word_from_levels(&levels, "t").unwrap(), 0b1011);
-        let mut bad = levels;
-        bad[2] = Level::X;
-        assert!(matches!(
-            word_from_levels(&bad, "t"),
-            Err(BridgeError::XLevel { bit: 2, .. })
-        ));
     }
 
     fn tiny_netlist() -> Netlist {
@@ -479,8 +371,11 @@ mod tests {
         let bridge = NetlistBridge::new(&n, 2).unwrap();
         // ld and ld_n share a net: one terminal survives.
         assert_eq!(bridge.group("e0_x", "ld").unwrap().len(), 1);
-        assert!(bridge.has_group("e0_x", "store"));
-        assert!(!bridge.has_group("e0_x", "busa_w"));
+        assert!(bridge.group("e0_x", "store").is_ok());
+        // Bus bristles form the buses, not groups.
+        assert!(bridge.group("e0_x", "busa_w").is_err());
+        assert_eq!(bridge.bus_nets(0), [NetId(0), NetId(1)]);
+        assert_eq!(bridge.bus_nets(1), [NetId(2), NetId(3)]);
         assert!(matches!(
             bridge.group("e0_x", "nope"),
             Err(BridgeError::UnknownSignal { .. })
@@ -508,18 +403,58 @@ mod tests {
         ));
     }
 
+    /// `read_bits` packs levels LSB first, ignores pairs at or above
+    /// the width, lets a later pair for a bit override an earlier one,
+    /// and names the read only on the lowest X bit.
+    #[test]
+    fn word_level_round_trip() {
+        let n = tiny_netlist();
+        let mut sim = SwitchSim::new(&n);
+        // Nets 5 and 7 are the plate's bits 0 and 1; net 6 stays X.
+        sim.set_net(NetId(5), Level::L1);
+        sim.set_net(NetId(7), Level::L0);
+        sim.settle().unwrap();
+        let unnamed = || -> String { unreachable!("a good read names nothing") };
+        let pairs = [(0, NetId(5)), (1, NetId(7)), (2, NetId(6))];
+        assert_eq!(read_bits(&sim, 2, pairs, unnamed), Ok(0b01));
+        let overridden = [(1, NetId(6)), (0, NetId(7)), (1, NetId(5))];
+        assert_eq!(read_bits(&sim, 2, overridden, unnamed), Ok(0b10));
+        let bad = [(0, NetId(5)), (1, NetId(6))];
+        assert_eq!(
+            read_bits(&sim, 2, bad, || "t".to_owned()),
+            Err(BridgeError::XLevel {
+                signal: "t".to_owned(),
+                bit: 1
+            })
+        );
+    }
+
+    /// Driving a group's nets and reading one column of a plate group
+    /// through `read_bits`, as the co-simulation does.
     #[test]
     fn drive_and_read_words() {
         let n = tiny_netlist();
-        let mut bridge = NetlistBridge::new(&n, 2).unwrap();
-        bridge.drive_group("e0_x", "ld", Level::L1).unwrap();
-        bridge.drive_word("e0_x", "store", 0b10).unwrap();
-        bridge.settle().unwrap();
-        assert_eq!(bridge.read_column_word("e0_x", "store", 0).unwrap(), 0b10);
-        // Buses float X on an empty netlist: the strict conversion
-        // reports which bit.
+        let bridge = NetlistBridge::new(&n, 2).unwrap();
+        let mut sim = SwitchSim::new(&n);
+        for t in bridge.group("e0_x", "ld").unwrap() {
+            sim.set_net(t.net, Level::L1);
+        }
+        let store = bridge.group("e0_x", "store").unwrap();
+        for t in store {
+            sim.set_net(t.net, Level::from_bool((0b10 >> t.bit) & 1 == 1));
+        }
+        sim.settle().unwrap();
+        let column = store
+            .iter()
+            .filter(|t| t.column == 0)
+            .map(|t| (t.bit, t.net));
+        assert_eq!(read_bits(&sim, 2, column, String::new), Ok(0b10));
+        assert_eq!(sim.net_level(NetId(4)), Level::L1);
+        // Buses float X on an empty netlist: the strict read reports
+        // which bit.
+        let bus = (0..).zip(bridge.bus_nets(0).iter().copied());
         assert!(matches!(
-            bridge.read_bus(0),
+            read_bits(&sim, 2, bus, || "busA".to_owned()),
             Err(BridgeError::XLevel { bit: 0, .. })
         ));
     }

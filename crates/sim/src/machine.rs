@@ -81,6 +81,7 @@ pub trait Behavior {
     }
 
     /// Observable state as `(key, value)` pairs, for tracing and tests.
+    /// The list has the same keys in the same order on every call.
     fn state(&self) -> Vec<(String, u64)> {
         Vec::new()
     }
@@ -165,6 +166,13 @@ pub struct TraceEntry {
     pub word: u64,
     /// Settled `[bus A, bus B]` values during φ1.
     pub buses: [u64; 2],
+}
+
+/// An element's state entry, resolved by [`Machine::state_slot`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct StateSlot {
+    element: usize,
+    index: usize,
 }
 
 /// The functional chip simulator.
@@ -289,19 +297,42 @@ impl Machine {
     ///
     /// Unknown element or key.
     pub fn peek(&self, element: &str, key: &str) -> Result<u64, SimError> {
-        let (b, _) = self
+        Ok(self.peek_slot(self.state_slot(element, key)?))
+    }
+
+    /// Resolves an element's state key once, for repeated
+    /// [`Machine::peek_slot`] reads. The slot stays valid on every
+    /// machine assembled with the same elements in the same order.
+    ///
+    /// # Errors
+    ///
+    /// Unknown element or key.
+    pub fn state_slot(&self, element: &str, key: &str) -> Result<StateSlot, SimError> {
+        let e = self
             .elements
             .iter()
-            .find(|(b, _)| b.name() == element)
+            .position(|(b, _)| b.name() == element)
             .ok_or_else(|| SimError::UnknownElement(element.to_owned()))?;
-        b.state()
-            .into_iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v)
+        let index = self.elements[e]
+            .0
+            .state()
+            .iter()
+            .position(|(k, _)| k == key)
             .ok_or_else(|| SimError::UnknownState {
                 element: element.to_owned(),
                 key: key.to_owned(),
-            })
+            })?;
+        Ok(StateSlot { element: e, index })
+    }
+
+    /// Reads the state entry a [`Machine::state_slot`] resolved.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slot was resolved on a machine with other elements.
+    #[must_use]
+    pub fn peek_slot(&self, slot: StateSlot) -> u64 {
+        self.elements[slot.element].0.state()[slot.index].1
     }
 
     /// Writes element state (test setup).

@@ -8,7 +8,6 @@
 //! enhancement pass transistor — which is exactly why the paper's buses
 //! are precharged on φ2 and only pulled low on φ1).
 
-use std::collections::HashMap;
 use std::fmt;
 
 use bristle_extract::{NetId, Netlist, TransistorKind};
@@ -109,10 +108,16 @@ pub struct SwitchSim<'a> {
     netlist: &'a Netlist,
     vdd: Vec<NetId>,
     gnd: Vec<NetId>,
-    inputs: HashMap<NetId, Level>,
+    /// The forced level of each net, indexed by net id.
+    inputs: Vec<Option<Level>>,
     /// Resolved (strength, level) of the last settle; its levels are
     /// the charge each net retains into the next settle.
     state: Vec<(Strength, Level)>,
+    /// Relaxation buffers, kept between settles so a settle allocates
+    /// nothing: the base drives, and the current and next iterates.
+    base: Vec<(Strength, Level)>,
+    cur: Vec<(Strength, Level)>,
+    next: Vec<(Strength, Level)>,
 }
 
 impl<'a> SwitchSim<'a> {
@@ -135,8 +140,11 @@ impl<'a> SwitchSim<'a> {
             netlist,
             vdd: rails("VDD"),
             gnd: rails("GND"),
-            inputs: HashMap::new(),
+            inputs: vec![None; n],
             state: vec![(Strength::Charged, Level::X); n],
+            base: Vec::with_capacity(n),
+            cur: Vec::with_capacity(n),
+            next: Vec::with_capacity(n),
         }
     }
 
@@ -153,7 +161,7 @@ impl<'a> SwitchSim<'a> {
     /// [`SwitchError::UnknownNet`] if no net has this name.
     pub fn set_input(&mut self, name: &str, level: Level) -> Result<(), SwitchError> {
         let id = self.net(name)?;
-        self.inputs.insert(id, level);
+        self.inputs[id.0 as usize] = Some(level);
         Ok(())
     }
 
@@ -164,7 +172,7 @@ impl<'a> SwitchSim<'a> {
     /// [`SwitchError::UnknownNet`] if no net has this name.
     pub fn release_input(&mut self, name: &str) -> Result<(), SwitchError> {
         let id = self.net(name)?;
-        self.inputs.remove(&id);
+        self.inputs[id.0 as usize] = None;
         Ok(())
     }
 
@@ -177,12 +185,14 @@ impl<'a> SwitchSim<'a> {
     /// Panics if `id` is not a net of the bound netlist.
     pub fn set_net(&mut self, id: NetId, level: Level) {
         assert!((id.0 as usize) < self.netlist.net_count(), "bad {id}");
-        self.inputs.insert(id, level);
+        self.inputs[id.0 as usize] = Some(level);
     }
 
     /// Stops forcing a net by id; it keeps its charge until redriven.
     pub fn release_net(&mut self, id: NetId) {
-        self.inputs.remove(&id);
+        if let Some(input) = self.inputs.get_mut(id.0 as usize) {
+            *input = None;
+        }
     }
 
     /// The level of a net (by id) after the last [`SwitchSim::settle`].
@@ -225,22 +235,28 @@ impl<'a> SwitchSim<'a> {
     /// [`SwitchError::Unsettled`] if the network oscillates.
     pub fn settle(&mut self) -> Result<(), SwitchError> {
         let n = self.netlist.net_count();
-        // Base drives.
-        let mut state: Vec<(Strength, Level)> = self
-            .state
-            .iter()
-            .map(|&(_, level)| (Strength::Charged, level))
-            .collect();
+        // Base drives: every net's retained charge, then the rails, then
+        // the primary inputs (an input on a rail net overrides it).
+        let base = &mut self.base;
+        base.clear();
+        base.extend(
+            self.state
+                .iter()
+                .map(|&(_, level)| (Strength::Charged, level)),
+        );
         for vdd in &self.vdd {
-            state[vdd.0 as usize] = (Strength::Strong, Level::L1);
+            base[vdd.0 as usize] = (Strength::Strong, Level::L1);
         }
         for gnd in &self.gnd {
-            state[gnd.0 as usize] = (Strength::Strong, Level::L0);
+            base[gnd.0 as usize] = (Strength::Strong, Level::L0);
         }
-        for (&id, &level) in &self.inputs {
-            state[id.0 as usize] = (Strength::Strong, level);
+        for (slot, input) in base.iter_mut().zip(&self.inputs) {
+            if let Some(level) = *input {
+                *slot = (Strength::Strong, level);
+            }
         }
-        let base = state.clone();
+        let (base, state, next) = (&self.base, &mut self.cur, &mut self.next);
+        state.clone_from(base);
 
         // Jacobi relaxation: each iteration recomputes every node from
         // its base drive plus the contributions implied by the *previous*
@@ -256,7 +272,7 @@ impl<'a> SwitchSim<'a> {
                     iterations: max_iters,
                 });
             }
-            let mut next = base.clone();
+            next.clone_from(base);
             for t in &self.netlist.transistors {
                 let gate_level = state[t.gate.0 as usize].1;
                 let conducting = match (t.kind, gate_level) {
@@ -310,9 +326,9 @@ impl<'a> SwitchSim<'a> {
             if next == state {
                 break;
             }
-            state = next;
+            std::mem::swap(state, next);
         }
-        self.state = state;
+        std::mem::swap(&mut self.state, state);
         Ok(())
     }
 
@@ -338,7 +354,7 @@ impl fmt::Debug for SwitchSim<'_> {
         f.debug_struct("SwitchSim")
             .field("nets", &self.netlist.net_count())
             .field("transistors", &self.netlist.transistors.len())
-            .field("inputs", &self.inputs.len())
+            .field("inputs", &self.inputs.iter().flatten().count())
             .finish()
     }
 }
@@ -589,6 +605,35 @@ mod tests {
         sim.settle().unwrap();
         assert_eq!(sim.level("a").unwrap(), Level::L1);
         assert_eq!(sim.level("b").unwrap(), Level::L0);
+    }
+
+    /// A ring of three inverters has no fixpoint: from an all-low
+    /// preset the Jacobi relaxation flips every node each iteration, so
+    /// settle gives up after exactly its iteration budget.
+    #[test]
+    fn inverter_ring_reports_unsettled_after_budget() {
+        // Nets: 0 VDD, 1 GND, 2 a, 3 b, 4 c; a→b→c→a.
+        let n = netlist(
+            &["VDD", "GND", "a", "b", "c"],
+            vec![
+                t(TransistorKind::Depletion, 2, 0, 2),
+                t(TransistorKind::Enhancement, 4, 2, 1),
+                t(TransistorKind::Depletion, 3, 0, 3),
+                t(TransistorKind::Enhancement, 2, 3, 1),
+                t(TransistorKind::Depletion, 4, 0, 4),
+                t(TransistorKind::Enhancement, 3, 4, 1),
+            ],
+        );
+        let mut sim = SwitchSim::new(&n);
+        sim.preset_all(Level::L0);
+        assert_eq!(
+            sim.settle(),
+            Err(SwitchError::Unsettled {
+                iterations: 4 * (5 + 6) + 16
+            })
+        );
+        // A failed settle keeps the last settled state.
+        assert_eq!(sim.net_level(NetId(2)), Level::L0);
     }
 
     #[test]

@@ -1,22 +1,35 @@
 //! The differential co-simulation driver.
 //!
-//! For one (spec, program) pair the driver:
+//! A run has two halves. [`Prepared::new`] does everything that depends
+//! only on the spec (and the fault), once:
 //!
 //! 1. compiles the spec through the full pipeline and extracts the
 //!    datapath core's transistor netlist,
-//! 2. builds the functional [`Machine`] (the SIMULATION representation)
-//!    and a [`NetlistBridge`] over the extracted netlist,
-//! 3. steps both, cycle by cycle, through the program's microcode
-//!    words: the machine via [`Machine::step_word`], the silicon by
+//! 2. applies the fault, if any, to the netlist — before anything is
+//!    bound, because a short rewrites the very net ids the binding holds,
+//! 3. builds a [`NetlistBridge`] (which checks bus continuity) and binds
+//!    every name the run uses to net ids: each control line to its
+//!    phase, microcode field, decode and nets; each storage probe to its
+//!    per-column `(bit, net)` list and machine state slot; the buses,
+//!    the φ1/φ2 clock columns and the port pad wires.
+//!
+//! [`Prepared::run`] then co-simulates one program on a fresh functional
+//! [`Machine`](bristle_sim::Machine) and a fresh switch state, so a
+//! prepared chip runs any number of programs with nothing carried over:
+//!
+//! 1. steps both, cycle by cycle, through the program's microcode
+//!    words: the machine via `Machine::step_word`, the silicon by
 //!    driving the decoded control columns and the φ1/φ2 clock columns
 //!    and settling the switch-level network once per phase,
-//! 4. asserts, every cycle: **direct bus equality** — the settled φ1
+//! 2. asserts, every cycle: **direct bus equality** — the settled φ1
 //!    buses equal the machine's buses bit for bit (the restoring read
 //!    path asserts stored words, so no inverting abstraction is
 //!    needed) — both buses precharge back to all-ones (φ2), every
 //!    register's `storeA`/`storeB` plates, every RAM word's `cell`
 //!    plates and every stack level's `level` plates equal the machine's
 //!    state, and output-port pad words equal the machine's pads.
+//!
+//! [`run_cosim_with`] is exactly `Prepared::new(spec, fault)?.run(program)`.
 //!
 //! Every per-element fact the driver needs comes from
 //! [`CompiledChip::elements`]: the control lines it drives are each
@@ -29,12 +42,16 @@
 //! (all nodes low) so dynamic storage starts equal to the machine's
 //! all-zero registers; see [`SwitchSim::preset_all`].
 
+use std::collections::BTreeMap;
 use std::fmt;
 
-use bristle_cell::Phase;
+use bristle_cell::{ActiveWhen, Phase};
 use bristle_core::{ChipSpec, CompileError, CompiledChip, Compiler};
-use bristle_extract::extract;
-use bristle_sim::{BridgeError, Level, NetlistBridge, SimError, SwitchSim};
+use bristle_extract::{extract, NetId, Netlist};
+use bristle_sim::{
+    read_bits, BridgeError, Level, MicrocodeError, NetlistBridge, SimError, StateSlot, SwitchSim,
+    TerminalNet,
+};
 
 use crate::fault::Fault;
 use crate::program::Program;
@@ -133,32 +150,356 @@ const STORAGE_CHECKS: [(&str, &str, &[(&str, &str)]); 3] = [
     ("stack", "s", &[("stack-level", "level")]),
 ];
 
-/// Drives every element's decoder-driven control lines for one phase:
-/// a line of that phase is up when its decode holds for `word`, every
-/// other line is down. `None` (power-on) drives them all down.
-fn drive_controls(
-    bridge: &mut NetlistBridge<'_>,
-    chip: &CompiledChip,
-    word: u64,
-    phase: Option<Phase>,
-) -> Result<(), CosimError> {
-    for e in &chip.elements {
-        for (local, line) in &e.controls {
-            let on = if phase == Some(line.phase) {
-                let field = chip
-                    .microcode
-                    .extract(word, &line.field)
-                    .map_err(SimError::Microcode)?;
-                line.active.eval(field)
+/// The buses' names in divergence reports.
+const BUSES: [&str; 2] = ["busA", "busB"];
+
+/// One decoder-driven control line, bound to its nets.
+struct BoundControl {
+    phase: Phase,
+    /// The line's microcode field as `(mask, offset)`, or the error
+    /// extracting it gives (raised when a word is decoded, as the
+    /// machine would).
+    field: Result<(u64, u32), MicrocodeError>,
+    active: ActiveWhen,
+    nets: Vec<NetId>,
+}
+
+/// One plate word checked every cycle: a storage column's plate against
+/// the machine state entry it must hold.
+struct StorageProbe {
+    /// The machine's word; a key the machine lacks fails when checked.
+    want: Result<StateSlot, SimError>,
+    check: &'static str,
+    prefix: String,
+    plate: &'static str,
+    column: u32,
+    /// The plate's `(bit, net)` pairs in this column; a missing group
+    /// is a divergence when checked.
+    bits: Result<Vec<(u32, NetId)>, BridgeError>,
+}
+
+/// A spec compiled, extracted, faulted and name-bound once, ready to
+/// co-simulate any number of programs; see the [module docs](self).
+pub struct Prepared {
+    chip: CompiledChip,
+    netlist: Netlist,
+    width: u32,
+    mask: u64,
+    /// Every element's control lines, in drive order.
+    controls: Vec<BoundControl>,
+    /// φ1 and φ2 clock-column nets.
+    clocks: [Vec<NetId>; 2],
+    /// Bus A and bus B nets, one per bit row.
+    buses: [Vec<NetId>; 2],
+    /// `pad_in` and `pad_out` wires per port prefix, as `(bit, net)`.
+    pads_in: BTreeMap<String, Vec<(u32, NetId)>>,
+    pads_out: BTreeMap<String, Vec<(u32, NetId)>>,
+    /// The storage checks of one cycle, in check order.
+    storage: Vec<StorageProbe>,
+}
+
+/// The wires of port `p`, or the error naming the missing group.
+fn port_wires<'s>(
+    pads: &'s BTreeMap<String, Vec<(u32, NetId)>>,
+    p: &str,
+    local: &str,
+) -> Result<&'s [(u32, NetId)], BridgeError> {
+    pads.get(p)
+        .map(Vec::as_slice)
+        .ok_or_else(|| BridgeError::UnknownSignal {
+            prefix: p.to_owned(),
+            local: local.to_owned(),
+        })
+}
+
+/// A group's terminals as `(bit, net)` pairs, in group order.
+fn bits_of<'t>(ts: impl IntoIterator<Item = &'t TerminalNet>) -> Vec<(u32, NetId)> {
+    ts.into_iter().map(|t| (t.bit, t.net)).collect()
+}
+
+impl Prepared {
+    /// Compiles `spec`, extracts the datapath core, applies `fault` to
+    /// the netlist and binds every signal the run reads or drives to net
+    /// ids. The fault goes first because it rewrites net ids
+    /// ([`Fault::ShortTerminalToGnd`]) that the binding then holds.
+    ///
+    /// # Errors
+    ///
+    /// [`CosimError::Compile`] if the spec does not compile or its
+    /// machine cannot be assembled, [`CosimError::Bridge`] on a bus
+    /// discontinuity or a control line with no nets.
+    pub fn new(spec: &ChipSpec, fault: Option<&Fault>) -> Result<Prepared, CosimError> {
+        let mut chip = Compiler::new().compile(spec)?;
+        // The geometry (and its flatten caches) is read only here and
+        // dropped with this statement: the chip is kept without it, for
+        // the machine each run rebuilds.
+        let mut netlist = extract(&std::mem::take(&mut chip.lib), chip.core_cell);
+        if let Some(f) = fault {
+            f.apply(&mut netlist);
+        }
+        // The machine is rebuilt per run; this one resolves state slots.
+        let machine = chip.simulation()?;
+        let bridge = NetlistBridge::new(&netlist, spec.data_width)?;
+
+        let mut controls = Vec::new();
+        for e in &chip.elements {
+            for (local, line) in &e.controls {
+                // A control with no nets would mean a cell has no
+                // geometry for it — itself a bug, so fail.
+                let nets = bridge
+                    .group(&e.prefix, local)?
+                    .iter()
+                    .map(|t| t.net)
+                    .collect();
+                let field = match chip.microcode.field(&line.field) {
+                    Some(f) => Ok((f.mask(), f.offset)),
+                    None => Err(MicrocodeError::UnknownField(line.field.clone())),
+                };
+                controls.push(BoundControl {
+                    phase: line.phase,
+                    field,
+                    active: line.active.clone(),
+                    nets,
+                });
+            }
+        }
+
+        let mut storage = Vec::new();
+        for e in &chip.elements {
+            let Some(&(_, key, probes)) = STORAGE_CHECKS.iter().find(|c| c.0 == e.kind) else {
+                continue;
+            };
+            for col in 0..e.columns.len() as u32 {
+                let want = machine.state_slot(&e.prefix, &format!("{key}{col}"));
+                for &(check, plate) in probes {
+                    let bits = bridge
+                        .group(&e.prefix, plate)
+                        .map(|ts| bits_of(ts.iter().filter(|t| t.column == col)));
+                    storage.push(StorageProbe {
+                        want: want.clone(),
+                        check,
+                        prefix: e.prefix.clone(),
+                        plate,
+                        column: col,
+                        bits,
+                    });
+                }
+            }
+        }
+
+        let pads = |local: &str| -> BTreeMap<String, Vec<(u32, NetId)>> {
+            bridge
+                .prefixes()
+                .filter_map(|p| Some((p.to_owned(), bits_of(bridge.group(p, local).ok()?))))
+                .collect()
+        };
+        let (pads_in, pads_out) = (pads("pad_in"), pads("pad_out"));
+        let clocks = [
+            bridge.clock_nets("phi1").to_vec(),
+            bridge.clock_nets("phi2").to_vec(),
+        ];
+        let buses = [bridge.bus_nets(0).to_vec(), bridge.bus_nets(1).to_vec()];
+        let width = spec.data_width;
+        Ok(Prepared {
+            chip,
+            netlist,
+            width,
+            mask: if width == 64 {
+                u64::MAX
+            } else {
+                (1u64 << width) - 1
+            },
+            controls,
+            clocks,
+            buses,
+            pads_in,
+            pads_out,
+            storage,
+        })
+    }
+
+    /// Co-simulates one program on a fresh machine and a fresh switch
+    /// state: nothing of an earlier run carries over.
+    ///
+    /// # Errors
+    ///
+    /// See [`CosimError`]; an injected fault is expected to surface as
+    /// [`CosimError::Diverged`].
+    pub fn run<'p>(&self, program: &'p Program) -> Result<CosimStats, CosimError> {
+        let mut machine = self.chip.simulation()?;
+        let mut sim = SwitchSim::new(&self.netlist);
+        let width = self.width;
+        let ports = |names: &'p [String], pads, local| {
+            let wires = |p: &'p String| (p, format!("{p}_pad"), port_wires(pads, p, local));
+            names.iter().map(wires).collect::<Vec<_>>()
+        };
+        let inports = ports(&program.inports, &self.pads_in, "pad_in");
+        let outports = ports(&program.outports, &self.pads_out, "pad_out");
+        let drive_word = |sim: &mut SwitchSim<'_>, bits: &[(u32, NetId)], word: u64| {
+            for &(bit, net) in bits {
+                sim.set_net(net, Level::from_bool((word >> bit) & 1 == 1));
+            }
+        };
+        let read_bus = |sim: &SwitchSim<'_>, bus: usize| {
+            let bits = (0..).zip(self.buses[bus].iter().copied());
+            read_bits(sim, width, bits, || BUSES[bus].to_owned())
+        };
+        // Clocks change phase as the co-simulation always has: the
+        // falling phase first, then the rising one.
+        let clock_up = |sim: &mut SwitchSim<'_>, rising: usize| {
+            for (phase, level) in [(1 - rising, Level::L0), (rising, Level::L1)] {
+                for &net in &self.clocks[phase] {
+                    sim.set_net(net, level);
+                }
+            }
+        };
+
+        // Power-on: all storage low (matching the machine's zeroed registers),
+        // every decoder column and pad driven low, then one φ2 to precharge.
+        sim.preset_all(Level::L0);
+        self.drive_controls(&mut sim, 0, None)?;
+        for (_, key, nets) in &inports {
+            drive_word(&mut sim, nets.clone()?, 0);
+            machine.set_pad(key.as_str(), 0);
+        }
+        clock_up(&mut sim, 1);
+        sim.settle().map_err(BridgeError::from)?;
+
+        let mut checks = 0usize;
+        for (ci, cycle) in program.cycles.iter().enumerate() {
+            let word = program
+                .encode_cycle(machine.microcode(), cycle)
+                .map_err(SimError::Microcode)?;
+            let diverge =
+                |check: &str, signal: &str, expected: u64, got: &Result<u64, BridgeError>| {
+                    CosimError::Diverged(Divergence {
+                        cycle: ci,
+                        check: check.to_owned(),
+                        signal: signal.to_owned(),
+                        expected,
+                        got: match got {
+                            Ok(v) => format!("{v:#x}"),
+                            Err(e) => format!("({e})"),
+                        },
+                    })
+                };
+
+            // Pads for this cycle (undriven ports idle at 0; their `drv`
+            // stays off, so the value never reaches the bus).
+            for (p, key, nets) in &inports {
+                let pad = cycle.inports.get(*p).copied().unwrap_or(0);
+                drive_word(&mut sim, nets.clone()?, pad);
+                machine.set_pad(key.as_str(), pad);
+            }
+
+            // φ1: decode-asserted controls up, φ2 clocks down, settle.
+            clock_up(&mut sim, 0);
+            self.drive_controls(&mut sim, word, Some(Phase::Phi1))?;
+            sim.settle().map_err(BridgeError::from)?;
+
+            let phys = [read_bus(&sim, 0), read_bus(&sim, 1)];
+
+            // Step the functional machine (its step covers φ1 + φ2).
+            let mach_buses = machine.step_word(word)?;
+
+            // Direct bus equality: the restoring read path asserts
+            // stored words, so silicon and machine buses must agree bit
+            // for bit on every cycle — reads, writes and idles alike.
+            for (bus, (got, want)) in phys.iter().zip(mach_buses).enumerate() {
+                if *got != Ok(want) {
+                    return Err(diverge("phi1-bus", BUSES[bus], want, got));
+                }
+            }
+            checks += 2;
+
+            // φ2: controls down except φ2-phase decodes, clocks swap, settle.
+            self.drive_controls(&mut sim, word, Some(Phase::Phi2))?;
+            clock_up(&mut sim, 1);
+            sim.settle().map_err(BridgeError::from)?;
+
+            // Precharge restored on both buses.
+            for (bus, name) in BUSES.iter().enumerate() {
+                let got = read_bus(&sim, bus);
+                if got != Ok(self.mask) {
+                    return Err(diverge("phi2-precharge", name, self.mask, &got));
+                }
+                checks += 1;
+            }
+
+            // Storage equivalence: every register's plates (both written
+            // from bus A), RAM word and stack level equals the machine's
+            // state, one storage column per register, word or level.
+            for s in &self.storage {
+                let want = machine.peek_slot(s.want.clone()?);
+                let got = s.bits.as_ref().map_err(Clone::clone).and_then(|bits| {
+                    read_bits(&sim, width, bits.iter().copied(), || {
+                        format!("{}/{}[c{}]", s.prefix, s.plate, s.column)
+                    })
+                });
+                if got != Ok(want) {
+                    return Err(diverge(s.check, &s.prefix, want, &got));
+                }
+                checks += 1;
+            }
+
+            // Pad equivalence: output-port pad wires match machine pads.
+            for (p, key, nets) in &outports {
+                let Some(want) = machine.pad(key) else {
+                    continue;
+                };
+                let got = nets.clone().and_then(|bits| {
+                    read_bits(&sim, width, bits.iter().copied(), || format!("{p}/pad_out"))
+                });
+                if got != Ok(want) {
+                    return Err(diverge("pad_out", p, want, &got));
+                }
+                checks += 1;
+            }
+        }
+
+        Ok(CosimStats {
+            cycles: program.cycles.len(),
+            nets: self.netlist.net_count(),
+            transistors: self.netlist.transistors.len(),
+            checks,
+        })
+    }
+
+    /// Drives every element's control lines for one phase: a line of
+    /// that phase is up when its decode holds for `word`, every other
+    /// line is down. `None` (power-on) drives them all down.
+    fn drive_controls(
+        &self,
+        sim: &mut SwitchSim<'_>,
+        word: u64,
+        phase: Option<Phase>,
+    ) -> Result<(), CosimError> {
+        for c in &self.controls {
+            let on = if phase == Some(c.phase) {
+                let &(mask, offset) = c
+                    .field
+                    .as_ref()
+                    .map_err(|e| SimError::Microcode(e.clone()))?;
+                c.active.eval((word & mask) >> offset)
             } else {
                 false
             };
-            // Controls may be missing from the netlist only if a cell has
-            // no geometry for them — that would itself be a bug, so fail.
-            bridge.drive_group(&e.prefix, local, Level::from_bool(on))?;
+            for &net in &c.nets {
+                sim.set_net(net, Level::from_bool(on));
+            }
         }
+        Ok(())
     }
-    Ok(())
+}
+
+impl fmt::Debug for Prepared {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Prepared")
+            .field("chip", &self.chip.spec.name)
+            .field("nets", &self.netlist.net_count())
+            .field("transistors", &self.netlist.transistors.len())
+            .finish()
+    }
 }
 
 /// Runs the differential co-simulation; equivalent to
@@ -171,8 +512,9 @@ pub fn run_cosim(spec: &ChipSpec, program: &Program) -> Result<CosimStats, Cosim
     run_cosim_with(spec, program, None)
 }
 
-/// Runs the differential co-simulation, optionally injecting a netlist
-/// fault after extraction.
+/// Runs the differential co-simulation of one program, optionally
+/// injecting a netlist fault after extraction: [`Prepared::new`] then
+/// [`Prepared::run`].
 ///
 /// # Errors
 ///
@@ -183,133 +525,7 @@ pub fn run_cosim_with(
     program: &Program,
     fault: Option<&Fault>,
 ) -> Result<CosimStats, CosimError> {
-    let chip = Compiler::new().compile(spec)?;
-    let mut netlist = extract(&chip.lib, chip.core_cell);
-    if let Some(f) = fault {
-        f.apply(&mut netlist);
-    }
-    let mut machine = chip.simulation()?;
-    let mut bridge = NetlistBridge::new(&netlist, spec.data_width)?;
-    let mask = if spec.data_width == 64 {
-        u64::MAX
-    } else {
-        (1u64 << spec.data_width) - 1
-    };
-
-    // Power-on: all storage low (matching the machine's zeroed registers),
-    // every decoder column and pad driven low, then one φ2 to precharge.
-    bridge.sim.preset_all(Level::L0);
-    drive_controls(&mut bridge, &chip, 0, None)?;
-    for p in &program.inports {
-        bridge.drive_word(p, "pad_in", 0)?;
-        machine.set_pad(format!("{p}_pad"), 0);
-    }
-    bridge.drive_clocks("phi1", Level::L0);
-    bridge.drive_clocks("phi2", Level::L1);
-    bridge.settle()?;
-
-    let mut checks = 0usize;
-    for (ci, cycle) in program.cycles.iter().enumerate() {
-        let word = program
-            .encode_cycle(machine.microcode(), cycle)
-            .map_err(SimError::Microcode)?;
-        let diverge = |check: &str, signal: &str, expected: u64, got: &Result<u64, BridgeError>| {
-            CosimError::Diverged(Divergence {
-                cycle: ci,
-                check: check.to_owned(),
-                signal: signal.to_owned(),
-                expected,
-                got: match got {
-                    Ok(v) => format!("{v:#x}"),
-                    Err(e) => format!("({e})"),
-                },
-            })
-        };
-
-        // Pads for this cycle (undriven ports idle at 0; their `drv`
-        // stays off, so the value never reaches the bus).
-        for p in &program.inports {
-            let pad = cycle.inports.get(p).copied().unwrap_or(0);
-            bridge.drive_word(p, "pad_in", pad)?;
-            machine.set_pad(format!("{p}_pad"), pad);
-        }
-
-        // φ1: decode-asserted controls up, φ2 clocks down, settle.
-        bridge.drive_clocks("phi2", Level::L0);
-        bridge.drive_clocks("phi1", Level::L1);
-        drive_controls(&mut bridge, &chip, word, Some(Phase::Phi1))?;
-        bridge.settle()?;
-
-        let phys_a = bridge.read_bus(0);
-        let phys_b = bridge.read_bus(1);
-
-        // Step the functional machine (its step covers φ1 + φ2).
-        let mach_buses = machine.step_word(word)?;
-
-        // Direct bus equality: the restoring read path asserts
-        // stored words, so silicon and machine buses must agree bit
-        // for bit on every cycle — reads, writes and idles alike.
-        if phys_a != Ok(mach_buses[0]) {
-            return Err(diverge("phi1-bus", "busA", mach_buses[0], &phys_a));
-        }
-        if phys_b != Ok(mach_buses[1]) {
-            return Err(diverge("phi1-bus", "busB", mach_buses[1], &phys_b));
-        }
-        checks += 2;
-
-        // φ2: controls down except φ2-phase decodes, clocks swap, settle.
-        drive_controls(&mut bridge, &chip, word, Some(Phase::Phi2))?;
-        bridge.drive_clocks("phi1", Level::L0);
-        bridge.drive_clocks("phi2", Level::L1);
-        bridge.settle()?;
-
-        // Precharge restored on both buses.
-        for (bus, name) in [(0usize, "busA"), (1, "busB")] {
-            let got = bridge.read_bus(bus);
-            if got != Ok(mask) {
-                return Err(diverge("phi2-precharge", name, mask, &got));
-            }
-            checks += 1;
-        }
-
-        // Storage equivalence: every register's plates (both written
-        // from bus A), RAM word and stack level equals the machine's
-        // state, one storage column per register, word or level.
-        for e in &chip.elements {
-            let Some(&(_, key, probes)) = STORAGE_CHECKS.iter().find(|c| c.0 == e.kind) else {
-                continue;
-            };
-            for col in 0..e.columns.len() {
-                let want = machine.peek(&e.prefix, &format!("{key}{col}"))?;
-                for &(check, plate) in probes {
-                    let got = bridge.read_column_word(&e.prefix, plate, col as u32);
-                    if got != Ok(want) {
-                        return Err(diverge(check, &e.prefix, want, &got));
-                    }
-                    checks += 1;
-                }
-            }
-        }
-
-        // Pad equivalence: output-port pad wires match machine pads.
-        for p in &program.outports {
-            let Some(want) = machine.pad(&format!("{p}_pad")) else {
-                continue;
-            };
-            let got = bridge.read_word(p, "pad_out");
-            if got != Ok(want) {
-                return Err(diverge("pad_out", p, want, &got));
-            }
-            checks += 1;
-        }
-    }
-
-    Ok(CosimStats {
-        cycles: program.cycles.len(),
-        nets: netlist.net_count(),
-        transistors: netlist.transistors.len(),
-        checks,
-    })
+    Prepared::new(spec, fault)?.run(program)
 }
 
 /// Convenience: build a standalone switch simulator over a netlist with

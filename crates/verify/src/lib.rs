@@ -55,7 +55,7 @@ pub mod program;
 pub mod shrink;
 pub mod specgen;
 
-pub use cosim::{run_cosim, run_cosim_with, CosimError, CosimStats, Divergence};
+pub use cosim::{run_cosim, run_cosim_with, CosimError, CosimStats, Divergence, Prepared};
 pub use fault::Fault;
 pub use program::{Cycle, Program};
 pub use shrink::{shrink, MinimalRepro};

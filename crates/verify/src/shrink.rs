@@ -1,6 +1,7 @@
 //! Shrinking failing runs to minimal reproducers.
 //!
-//! Strategy (greedy, budgeted, always re-validated by a fresh run):
+//! Strategy (greedy, budgeted; each candidate is re-validated by a fresh
+//! run on its prepared chip):
 //!
 //! 1. **Truncate the program** to end right after the first divergent
 //!    cycle — program generation is prefix-stable, so truncation never
@@ -13,12 +14,18 @@
 //! Each accepted step restarts the scan; the loop stops at a fixpoint
 //! or when the run budget is exhausted. The result carries the exact
 //! spec, seed and cycle count needed to replay the failure.
+//!
+//! The shrinker holds one [`Prepared`] chip: the best spec's, compiled,
+//! extracted and faulted once. Steps 1 and 2 only change the program, so
+//! they run on it; a step-3 or step-4 candidate spec is prepared once,
+//! and replaces it if it diverges. A run costs one co-simulation, not
+//! one compile.
 
 use std::fmt;
 
 use bristle_core::ChipSpec;
 
-use crate::cosim::{run_cosim_with, CosimError, Divergence};
+use crate::cosim::{CosimError, Divergence, Prepared};
 use crate::fault::Fault;
 use crate::program::Program;
 
@@ -109,27 +116,30 @@ pub fn shrink(
     budget: usize,
 ) -> Option<MinimalRepro> {
     let runs = std::cell::Cell::new(0usize);
-    let check = |spec: &ChipSpec, skip: usize, cycles: usize| -> Option<Divergence> {
+    // `chip` is `spec` prepared; `None` if it failed to prepare.
+    let check = |chip: Option<&Prepared>, spec: &ChipSpec, skip: usize, cycles: usize| {
         runs.set(runs.get() + 1);
         let program = candidate_program(spec, seed, skip, cycles);
         if program.cycles.is_empty() {
             return None;
         }
-        match run_cosim_with(spec, &program, fault) {
+        match chip?.run(&program) {
             Err(CosimError::Diverged(d)) => Some(d),
             // Compile/bridge errors on a candidate mean the candidate is
             // not a valid reproducer, not that the bug is gone.
             _ => None,
         }
     };
+    let prepare = |spec: &ChipSpec| Prepared::new(spec, fault).ok();
 
     let mut best_spec = spec.clone();
+    let mut best = prepare(&best_spec);
     let mut skip = 0usize;
     let mut best_cycles = cycles;
-    let mut divergence = check(&best_spec, 0, cycles)?;
+    let mut divergence = check(best.as_ref(), &best_spec, 0, cycles)?;
     // 1. Truncate to the first divergent cycle.
     if divergence.cycle + 1 < best_cycles {
-        if let Some(d) = check(&best_spec, 0, divergence.cycle + 1) {
+        if let Some(d) = check(best.as_ref(), &best_spec, 0, divergence.cycle + 1) {
             best_cycles = divergence.cycle + 1;
             divergence = d;
         }
@@ -140,7 +150,7 @@ pub fn shrink(
         improved = false;
         // 2. Drop leading cycles.
         while best_cycles > 1 && runs.get() < budget {
-            if let Some(d) = check(&best_spec, skip + 1, best_cycles - 1) {
+            if let Some(d) = check(best.as_ref(), &best_spec, skip + 1, best_cycles - 1) {
                 skip += 1;
                 best_cycles -= 1;
                 divergence = d;
@@ -153,8 +163,10 @@ pub fn shrink(
         let mut i = 0;
         while i < best_spec.elements.len() && runs.get() < budget {
             if let Some(candidate) = spec_without(&best_spec, i) {
-                if let Some(d) = check(&candidate, skip, best_cycles) {
+                let chip = prepare(&candidate);
+                if let Some(d) = check(chip.as_ref(), &candidate, skip, best_cycles) {
                     best_spec = candidate;
+                    best = chip;
                     divergence = d;
                     improved = true;
                     continue; // same index now names the next element
@@ -170,8 +182,10 @@ pub fn shrink(
                 break;
             }
             let candidate = spec_with_width(&best_spec, w);
-            if let Some(d) = check(&candidate, skip, best_cycles) {
+            let chip = prepare(&candidate);
+            if let Some(d) = check(chip.as_ref(), &candidate, skip, best_cycles) {
                 best_spec = candidate;
+                best = chip;
                 divergence = d;
                 improved = true;
                 break;

@@ -16,7 +16,8 @@ use std::fmt::Write as _;
 
 use bristle_blocks::core::parse_page;
 use bristle_verify::{
-    run_cosim, run_cosim_with, shrink, CosimError, Fault, Program, Rng, SpecGen,
+    run_cosim, run_cosim_with, shrink, CosimError, CosimStats, Divergence, Fault, Prepared,
+    Program, Rng, SpecGen,
 };
 
 /// Base seed for the pinned CI seed set. Changing it invalidates no
@@ -96,6 +97,48 @@ fn one_seed() {
         .map_or_else(|| seed.parse(), |h| u64::from_str_radix(h, 16))
         .expect("BRISTLE_VERIFY_SEED must be a u64 (decimal or 0x hex)");
     run_seed(seed).unwrap();
+}
+
+/// A run's outcome in comparable form: stats, a divergence, or any
+/// other error's message.
+fn outcome(r: Result<CosimStats, CosimError>) -> Result<CosimStats, Result<Divergence, String>> {
+    r.map_err(|e| match e {
+        CosimError::Diverged(d) => Ok(d),
+        other => Err(other.to_string()),
+    })
+}
+
+/// Reusing a prepared chip leaks no state: on every pinned seed, one
+/// [`Prepared`] runs three programs back to back, with no fault and with
+/// the first register bank's bit-0 `storeA` plate shorted to GND, and
+/// each result equals a run on a freshly compiled chip.
+#[test]
+fn prepared_runs_match_fresh_runs() {
+    let mut diverged = 0;
+    for i in 0..25 {
+        let seed = BASE_SEED + i;
+        let spec = SpecGen::random_cosim_spec(&mut Rng::new(seed), &format!("dv{seed:x}"));
+        let programs: Vec<Program> = (0..3)
+            .map(|k| Program::random(&spec, seed ^ 0x9E37_79B9 ^ k, CYCLES))
+            .collect();
+        let bank = &programs[0].reg_elements[0].0;
+        let short = Fault::ShortTerminalToGnd(format!("{bank}_c0_b0/storeA"));
+        for fault in [None, Some(&short)] {
+            let chip =
+                Prepared::new(&spec, fault).unwrap_or_else(|e| panic!("seed {seed:#x}: {e}"));
+            for (k, program) in programs.iter().enumerate() {
+                let reused = outcome(chip.run(program));
+                assert_eq!(
+                    reused,
+                    outcome(run_cosim_with(&spec, program, fault)),
+                    "seed {seed:#x}, fault {fault:?}, program {k}"
+                );
+                diverged += usize::from(matches!(reused, Err(Ok(_))));
+            }
+        }
+    }
+    // The short must be seen, so divergent runs are compared too.
+    assert!(diverged >= 25, "only {diverged} runs diverged");
 }
 
 /// Extended sweep for the workflow_dispatch nightly-style CI job; `cargo
@@ -261,5 +304,46 @@ fn compile_fuzz_full_diversity_specs() {
             .unwrap_or_else(|e| panic!("seed {seed:#x}: bridge: {e}"));
         let mut machine = chip.simulation().unwrap();
         machine.step_word(0).unwrap();
+    }
+}
+
+/// The spec both shrinker goldens start from: riders (ALU) to drop and
+/// storage of every co-simulated kind.
+fn golden_spec() -> bristle_blocks::core::ChipSpec {
+    bristle_blocks::core::ChipSpec::builder("golden")
+        .data_width(4)
+        .element("inport", &[])
+        .element("registers", &[("count", 3)])
+        .element("ram", &[("words", 2)])
+        .element("alu", &[])
+        .element("stack", &[("depth", 2)])
+        .element("outport", &[])
+        .build()
+        .unwrap()
+}
+
+/// Pins every shrinker decision: the candidate order and each accept
+/// show up in the minimal spec, the skip/cycle window, the divergence
+/// and the number of runs spent, so a change to how candidates are run
+/// cannot silently change what the shrinker concludes.
+#[test]
+fn shrinker_decisions_are_pinned() {
+    const PAGE: &str = "chip golden\nwidth 2\nbuses A B\nelement inport\n\
+        element registers count=3\nelement ram words=2\nelement stack depth=2\n\
+        element outport\n";
+    let spec = golden_spec();
+    // (fault, program seed, skip, runs, divergence expected, got)
+    let open = Fault::DropGateDevice("/rda0".into());
+    let short = Fault::ShortTerminalToGnd("/storeA".into());
+    let cases = [(open, 2, 17, 26, 0, "0x1"), (short, 0, 2, 12, 3, "0x2")];
+    for (fault, seed, skip, runs, expected, got) in cases {
+        let r = shrink(&spec, seed, CYCLES, Some(&fault), 64).expect("fault must diverge");
+        assert_eq!(r.spec.to_string(), PAGE, "{fault}");
+        let window = (r.seed, r.cycles, r.skip, r.runs);
+        assert_eq!(window, (seed, 1, skip, runs), "{fault}");
+        let d = &r.divergence;
+        let at = (d.cycle, d.check.as_str(), d.signal.as_str());
+        assert_eq!(at, (0, "phi1-bus", "busA"), "{fault}");
+        assert_eq!((d.expected, d.got.as_str()), (expected, got), "{fault}");
     }
 }
